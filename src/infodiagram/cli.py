@@ -33,6 +33,7 @@ from .core import (
     ChainRuleInstance,
     DomainError,
     VerificationError,
+    _check_n,
     indices_of,
     interaction,
     mask_of,
@@ -188,6 +189,7 @@ def _read_subset_table(path: str, field_name: str):
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise IngestionError(f"{path}: 'n' must be a positive integer")
+    _check_n(n)  # before anything of size 2**n is built
     table = doc[field_name]
     if not isinstance(table, dict):
         raise IngestionError(f"{path}: '{field_name}' must map subset keys to numbers")
@@ -319,9 +321,12 @@ def cmd_diagram(config: RunConfig) -> dict:
         {"subset": list(indices_of(a)), "eta": value} for a, value in sorted(report.atom_values.items())
     ]
     totals = []
-    for k in range(1, 1 << inst.n):
+    full = (1 << inst.n) - 1
+    zeta = report.zeta
+    for k in range(1, full + 1):
         f1 = inst.total(k)
-        cell_sum = sum(v for a, v in report.atom_values.items() if a & k)
+        # atoms under the circles of K: all atoms minus those inside full ^ K
+        cell_sum = zeta[full] - zeta[full ^ k]
         if abs(f1 - cell_sum) > config.tol:
             raise VerificationError(
                 f"total consistency check failed for K={list(indices_of(k))}: "

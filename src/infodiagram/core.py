@@ -31,10 +31,20 @@ Encodings
 * region: int bitset over atoms, bit ``a - 1`` set iff atom ``a`` belongs
   to the region.  Union/intersection/difference are ``|``, ``&``, ``& ~``.
 
+Transforms
+----------
+By Hu's theorem every diagram quantity is a linear transform of the totals
+vector ``F1(X_K) = k1(K | 0)`` over all masks ``K`` (``F1(0) = 0``).  The
+atom table is its superset Moebius transform and circle unions and Hu
+regions are read off the subset zeta transform of the atoms; both are
+n * 2**n butterflies (Yates 1937).  :func:`atom_measure`,
+:func:`region_measure` and :func:`mobius_oracle` keep the closed-form and
+linear-solve routes as independent oracles for them.
+
 All operations are pure functions of immutable inputs (instance caches are
 only ever filled with recomputable values), so everything here is safe to
-call from multiple threads; per-atom accumulation order is fixed, making
-each value deterministic regardless of scheduling.
+call from multiple threads; every transform and sum runs in a fixed order,
+making each value deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -206,7 +216,6 @@ class ChainRuleInstance:
     evaluate: Callable[[Any], float] | None = None
     meta: dict = field(default_factory=dict)
     _k1_cache: dict = field(default_factory=dict, repr=False)
-    _atom_cache: dict = field(default_factory=dict, repr=False)
     _term_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -230,7 +239,7 @@ class ChainRuleInstance:
 
 
 def atom_measure(inst: ChainRuleInstance, i_mask: int) -> float:
-    """Closed-form measure of the atom ``i_mask``.
+    """Closed-form measure of the atom ``i_mask``; the oracle for :func:`atom_table`.
 
     Expands the alternating inclusion-exclusion sum
 
@@ -238,14 +247,12 @@ def atom_measure(inst: ChainRuleInstance, i_mask: int) -> float:
 
     where ``F1(y) = k1(y | 0)`` and ``I^c`` is the complement of ``I``;
     the empty joint (only reachable when ``I`` is the full set) is skipped
-    since ``F1(0) = 0``.  Costs O(2**|I|) evaluations of ``k1``.
+    since ``F1(0) = 0``.  Uncached: each call costs O(2**|I|) evaluations
+    of ``k1``, summed in ascending submask order.
     """
     _check_element(i_mask, inst.n, "atom")
     if i_mask == 0:
         raise DomainError("atoms are nonempty subsets; got the empty mask")
-    cached = inst._atom_cache.get(i_mask)
-    if cached is not None:
-        return cached
     comp = ((1 << inst.n) - 1) & ~i_mask
     total = 0.0
     for sub in _submasks_ascending(i_mask):
@@ -256,13 +263,51 @@ def atom_measure(inst: ChainRuleInstance, i_mask: int) -> float:
             total += inst.total(k)
         else:
             total -= inst.total(k)
-    inst._atom_cache[i_mask] = total
     return total
 
 
 def atom_table(inst: ChainRuleInstance) -> dict[int, float]:
-    """Closed-form measure of every atom, keyed by atom mask, ascending."""
-    return {a: atom_measure(inst, a) for a in atoms(inst.n)}
+    """Measure of every atom, keyed by atom mask, ascending.
+
+    The closed form of :func:`atom_measure` is ``eta(I) = -mu(I^c)``, where
+    ``mu`` is the superset Moebius transform of the totals vector ``F1``
+    (entry 0 is ``F1(0) = 0``).  One butterfly pass per generator computes
+    ``mu`` in n * 2**n operations, against O(3**n) for the atoms one by one.
+    """
+    size = 1 << inst.n
+    mu = np.array([0.0] + [inst.total(k) for k in range(1, size)])
+    for i in range(inst.n):
+        view = mu.reshape(-1, 2, 1 << i)
+        view[:, 0, :] -= view[:, 1, :]
+    # 0.0 - x rather than -x, so that zero atoms are +0.0 and serialize as 0.0
+    eta = 0.0 - mu[::-1]
+    return dict(zip(range(1, size), eta[1:].tolist()))
+
+
+def _subset_zeta(values: dict[int, float], n: int) -> list[float]:
+    """``zeta[S]``: sum of the atom values inside ``S`` (the empty atom is 0).
+
+    The atoms meeting a mask ``K`` sum to ``zeta[full] - zeta[full ^ K]``.
+    """
+    size = 1 << n
+    zeta = np.zeros(size)
+    zeta[1:] = [values[a] for a in range(1, size)]
+    for i in range(n):
+        view = zeta.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return zeta.tolist()
+
+
+def _region_terms(l_masks) -> list[tuple[bool, int]]:
+    """``(|S| odd, union of l_masks[S])`` for every index subset ``S``.
+
+    By inclusion-exclusion the Hu region of ``(l_masks, j)`` measures
+    ``sum over S of (-1)**|S| * zeta[full ^ (j | L_S)]``.
+    """
+    terms = [(False, 0)]
+    for l in l_masks:
+        terms += [(not odd, union | l) for odd, union in terms]
+    return terms
 
 
 def region_measure(inst: ChainRuleInstance, region: int) -> float:
@@ -471,7 +516,11 @@ class Residual(NamedTuple):
 
 @dataclass
 class DiagramReport:
-    """Result of a full diagram verification sweep."""
+    """Result of a full diagram verification sweep.
+
+    ``zeta`` is the subset zeta transform of ``atom_values`` (see
+    :func:`verify_hu`): ``zeta[S]`` sums the atoms inside ``S``.
+    """
 
     atom_values: dict[int, float]
     residuals: list[Residual]
@@ -479,6 +528,7 @@ class DiagramReport:
     tolerance: float
     mode: str
     chain_residual: float | None = None
+    zeta: list[float] = field(default_factory=list, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -494,8 +544,11 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     """Check every diagram identity of degree <= ``q_max`` for an instance.
 
     For each tuple of interaction arguments and each conditioning element,
-    compares the recursive interaction term against the measure of its
-    region.  Exhaustive up to n = 5 (argument tuples are swept as sorted
+    compares the recursive interaction term, which goes through the
+    instance's own ``k1``, against the measure of its region, which comes
+    from the atom table: an inclusion-exclusion of 2**q lookups in the
+    subset zeta transform of the atoms (kept as ``DiagramReport.zeta``).
+    Exhaustive up to n = 5 (argument tuples are swept as sorted
     multisets; the interaction canonicalizes order, so permutations are
     float-identical); sampled with a fixed seed beyond that.
 
@@ -528,30 +581,33 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
 
     values = atom_table(inst)
     size = 1 << n
+    full = size - 1
+    zeta = _subset_zeta(values, n)
 
-    def check(q, l_tuple, j):
+    def check(q, l_tuple, terms, j):
         lhs = interaction(inst, l_tuple, j)
         rhs = 0.0
-        for a in range(1, size):
-            if a & j:
-                continue
-            if all(a & l for l in l_tuple):
-                rhs += values[a]
+        for odd, union in terms:
+            if odd:
+                rhs -= zeta[full ^ (j | union)]
+            else:
+                rhs += zeta[full ^ (j | union)]
         return Residual(q, tuple(l_tuple), j, lhs, rhs, abs(lhs - rhs))
 
     residuals = []
     if mode == "exhaustive":
         for q in range(1, q_max + 1):
             for l_tuple in combinations_with_replacement(range(size), q):
+                terms = _region_terms(l_tuple)
                 for j in range(size):
-                    residuals.append(check(q, l_tuple, j))
+                    residuals.append(check(q, l_tuple, terms, j))
     else:
         rng = random.Random(seed)
         for _ in range(samples):
             q = rng.randint(1, q_max)
             l_tuple = tuple(sorted(rng.randrange(size) for _ in range(q)))
             j = rng.randrange(size)
-            residuals.append(check(q, l_tuple, j))
+            residuals.append(check(q, l_tuple, _region_terms(l_tuple), j))
 
     max_residual = max(r.gap for r in residuals)
     return DiagramReport(
@@ -561,6 +617,7 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
         tolerance=tol,
         mode=mode,
         chain_residual=chain_gap,
+        zeta=zeta,
     )
 
 

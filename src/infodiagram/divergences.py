@@ -9,9 +9,12 @@ with its own averaged-conditioning action:
 * alpha-KL conditions the pair with weights
   ``P_X(x)**alpha * Q_X(x)**(1 - alpha)``.
 
-Because the deformed actions are not plain averages, the conditional
-degree-1 terms are computed through the action form, not as
-joint-minus-marginal differences (those are false for alpha != 1).
+Every one of these chain rules forces ``k1(y | z) = F1(y or z) - F1(z)``:
+the deformed conditional equals the joint-minus-marginal difference of the
+totals for every alpha.  What fails for alpha != 1 is the plain average of
+the conditional values with weights ``P_Z(z)``.  The conditional degree-1
+terms are computed through the action form, which keeps an evaluation of
+``k1`` independent of the totals for the verification sweep.
 Tsallis and alpha-KL values use the base-free alpha-logarithm; their
 alpha -> 1 limits are the natural-log Shannon entropy and KL divergence.
 """
@@ -97,8 +100,9 @@ def tsallis_instance(p: Dist, gens, alpha: float) -> ChainRuleInstance:
     """Tsallis alpha-entropy as a chain-rule instance.
 
     ``k1(y, z)`` averages the conditional alpha-entropies with deformed
-    weights ``P_Z(z)**alpha``. Only this alpha-action satisfies the chain
-    rule; joint-minus-marginal does not for alpha != 1.
+    weights ``P_Z(z)**alpha``.  This alpha-action satisfies the chain rule,
+    so it equals the joint-minus-marginal difference ``F1(y or z) - F1(z)``;
+    the plain ``P_Z(z)``-weighted average does not for alpha != 1.
     """
     alpha = _check_alpha(alpha)
     gens = tuple(gens)

@@ -51,6 +51,7 @@ class SetFunction:
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "SetFunction":
         """Build from a mapping keyed by bitmask or by iterable of 1-based indices."""
+        _check_n(n)  # before allocating 2**n slots
         values = [None] * (1 << n)
         for key, val in mapping.items():
             mask = key if isinstance(key, int) else sum(1 << (i - 1) for i in key)

@@ -160,11 +160,16 @@ def test_verify_setfun_passes(tmp_path, capsys):
 
 
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
-    csv_path = write(tmp_path, "xor.csv", XOR_CSV)
+    # non-dyadic weights leave float roundoff in some identity, so tolerance 0
+    # must fail; the XOR sweep is exact and would pass
+    weights = (0.31, 0.07, 0.23, 0.11, 0.05, 0.13, 0.03, 0.07)
+    rows = "".join(f"{b >> 2 & 1},{b >> 1 & 1},{b & 1},{w}\n" for b, w in enumerate(weights))
+    csv_path = write(tmp_path, "w.csv", "X,Y,Z,__weight\n" + rows)
     code, out, err = run(capsys, "verify", csv_path, "--instance", "shannon", "--tol", "0")
     assert code == 4
     assert "verification failed" in err
     report = json.loads(out)
+    assert report["summary"]["max_residual"] > 0
     assert report["summary"]["passed"] is False
 
 
@@ -174,6 +179,17 @@ def test_verify_setfun_missing_subset(tmp_path, capsys):
     code, _, err = run(capsys, "verify", sf_path, "--instance", "setfun")
     assert code == 2
     assert "not total" in err
+
+
+def test_subset_table_cap_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    # an n beyond the cap must be refused before the 2**n subsets are walked,
+    # so the incomplete table is never reported as "missing subset"
+    monkeypatch.setenv("INFODIAGRAM_MAX_N", "3")
+    sf = {"n": 4, "values": {"": 0.0, "1": 0.5}}
+    sf_path = write(tmp_path, "sf.json", json.dumps(sf))
+    code, _, err = run(capsys, "verify", sf_path, "--instance", "setfun")
+    assert code == 3
+    assert "cap" in err
 
 
 def test_verify_advantage_table(tmp_path, capsys):
@@ -280,6 +296,16 @@ def test_render_rejects_other_sizes(tmp_path, capsys):
     code, _, err = run(capsys, "render", str(doc_path), str(tmp_path / "no.svg"))
     assert code == 2
     assert "n=2,3" in err
+
+
+def test_xor_diagram_has_no_negative_zero(tmp_path, capsys):
+    csv_path = write(tmp_path, "xor.csv", XOR_CSV)
+    code, out, _ = run(capsys, "diagram", csv_path, "--instance", "shannon", "--base", "bits")
+    assert code == 0
+    assert "-0.0," not in out and "-0.0\n" not in out
+    doc = json.loads(out)
+    zeros = [a["eta"] for a in doc["atoms"] if a["eta"] == 0.0]
+    assert zeros and all(math.copysign(1.0, z) == 1.0 for z in zeros)
 
 
 def test_stdout_carries_only_the_document(tmp_path, capsys):

@@ -318,6 +318,48 @@ def test_mobius_oracle_cap():
 
 
 # ---------------------------------------------------------------------------
+# the transform engine against its oracles
+
+
+def _close(got, want):
+    # the transforms reorder float sums, so agreement is relative, not bitwise
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _drawn_r1(n, data):
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1 << n, max_size=1 << n))
+    return r1_instance(SetFunction(n=n, values=tuple(values)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_atom_table_matches_closed_form_and_linear_solve(n, data):
+    inst = _drawn_r1(n, data)
+    table = atom_table(inst)
+    assert list(table) == atoms(n)
+    solved = mobius_oracle(inst)
+    for a in atoms(n):
+        assert _close(table[a], atom_measure(inst, a))
+        assert _close(table[a], solved[a])
+
+
+def test_atom_table_matches_closed_form_at_n10():
+    inst = random_r1(np.random.default_rng(19), 10)
+    table = atom_table(inst)
+    assert all(_close(table[a], atom_measure(inst, a)) for a in atoms(10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**31), data=st.data())
+def test_verify_region_sums_match_region_measure(n, seed, data):
+    # the sweep's zeta lookups against the atom-by-atom sum over hu_region
+    inst = _drawn_r1(n, data)
+    report = verify_hu(inst, q_max=3, tol=1e-9, mode="sampled", samples=25, seed=seed)
+    for r in report.residuals:
+        assert _close(r.rhs, region_measure(inst, hu_region(r.l_masks, r.j_mask, n)))
+
+
+# ---------------------------------------------------------------------------
 # chain-rule checking and the verification sweep
 
 

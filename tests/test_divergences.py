@@ -11,12 +11,14 @@ from infodiagram import (
     DistPair,
     DomainError,
     RandomVariable,
+    act,
     alpha_kl,
     alpha_kl_instance,
     cross_entropy,
     cross_entropy_instance,
     entropy,
     interaction,
+    joint_of,
     kl,
     kl_instance,
     shannon_instance,
@@ -305,3 +307,24 @@ def test_all_instances_pass_chain_rule_on_random_contexts():
         for inst in instances:
             worst = max(worst, _chain_residual(inst))
     assert worst <= 1e-12
+
+
+def test_deformed_conditionals_are_totals_differences_but_not_plain_averages():
+    rng = np.random.default_rng(56)
+    dist, gens = random_joint(rng, 3)
+    pair = random_pair(rng, dist)
+    size = len(dist)
+    plain_gap = 0.0
+    for alpha in (0.5, 2.0):
+        for inst in (tsallis_instance(dist, gens, alpha), alpha_kl_instance(pair, gens, alpha)):
+            for y in range(8):
+                for z in range(8):
+                    assert inst.k1c(y, z) == pytest.approx(inst.total(y | z) - inst.total(z), abs=1e-12)
+        tsallis = tsallis_instance(dist, gens, alpha)
+        for y in range(8):
+            for z in range(8):
+                plain = act(joint_of(gens, z, size),
+                            lambda d: tsallis_entropy(d, joint_of(gens, y, size), alpha), dist)
+                plain_gap = max(plain_gap, abs(plain - (tsallis.total(y | z) - tsallis.total(z))))
+    # the P_Z-weighted average is a different, non-chain-rule quantity
+    assert plain_gap > 0.1

@@ -48,7 +48,7 @@ def monotone_errors(rng, n):
 # SetFunction plumbing
 
 
-def test_setfunction_validation():
+def test_setfunction_validation(monkeypatch):
     with pytest.raises(DomainError, match="need 4 values"):
         SetFunction(n=2, values=(0.0, 1.0))
     with pytest.raises(DomainError, match="not total"):
@@ -57,6 +57,10 @@ def test_setfunction_validation():
     assert fn(0b11) == 3.0
     with pytest.raises(DomainError):
         fn(0b100)
+    # the cap is checked before 2**n slots are allocated, not after
+    monkeypatch.setenv("INFODIAGRAM_MAX_N", "3")
+    with pytest.raises(DomainError, match="cap"):
+        SetFunction.from_mapping(4, {(): 0.0, (1,): 1.0})
 
 
 # ---------------------------------------------------------------------------
