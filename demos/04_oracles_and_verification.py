@@ -62,6 +62,7 @@ def main():
     print("4. Fault injection: add 0.1 to a single conditional value.")
     broken = ChainRuleInstance(
         n=inst.n,
+        totals=inst.totals,
         k1=lambda y, z: inst.k1(y, z) + (0.1 if (y, z) == (0b0011, 0b0100) else 0.0),
     )
     try:

@@ -23,7 +23,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,25 +65,6 @@ COMPRESSOR_ID = "zlib level 9"
 EXAMPLE_NAMES = ("xor-i3", "bsc-d2", "xor-advantage", "venn-decomposition")
 
 _XOR_ROWS = [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")]
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; mirrors the CLI flags."""
-
-    command: str
-    kind: str = "shannon"
-    base: str = "nats"
-    alpha: float | None = None
-    tol: float = DEFAULT_TOL
-    q_max: int = 3
-    inputs: list = field(default_factory=list)
-    out: str = "-"
-    fmt: str = "json"
-    seed: int = 0
-    epsilon: float = 0.25
-    name: str = ""
-    document: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ def read_blobs(paths):
     return blobs, [Path(path).name for path in paths]
 
 
-def build_instance(config: RunConfig):
+def build_instance(config: argparse.Namespace):
     """Construct the configured instance; returns (instance, generator names)."""
     kind = config.kind
     if kind == "shannon":
@@ -271,7 +251,7 @@ def build_instance(config: RunConfig):
 # documents
 
 
-def _metadata(config: RunConfig, inst: ChainRuleInstance, names) -> dict:
+def _metadata(config: argparse.Namespace, inst: ChainRuleInstance, names) -> dict:
     meta = {
         "instance": inst.meta.get("kind", config.kind),
         "base": None if config.kind in BASE_FREE_KINDS else config.base,
@@ -306,7 +286,7 @@ def _verification_summary(report) -> dict:
     }
 
 
-def cmd_diagram(config: RunConfig) -> dict:
+def cmd_diagram(config: argparse.Namespace) -> dict:
     """Compute atom values, joint totals and a verification summary."""
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
@@ -341,7 +321,7 @@ def cmd_diagram(config: RunConfig) -> dict:
     }
 
 
-def cmd_verify(config: RunConfig):
+def cmd_verify(config: argparse.Namespace):
     """Full residual table; returns (document, exit_code)."""
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
@@ -384,7 +364,7 @@ def _bsc_pair(epsilon: float):
     return DistPair(p=p, q=q), gens
 
 
-def cmd_examples(config: RunConfig):
+def cmd_examples(config: argparse.Namespace):
     """Built-in constructions with known values; returns (document, exit_code)."""
     name = config.name
     tol = config.tol
@@ -446,7 +426,7 @@ def cmd_examples(config: RunConfig):
     return doc, (EXIT_OK if doc["passed"] else EXIT_VERIFY)
 
 
-def cmd_render(config: RunConfig) -> str:
+def cmd_render(config: argparse.Namespace) -> str:
     """Render a diagram document to SVG text."""
     try:
         with open(config.document, encoding="utf-8") as fh:
@@ -473,7 +453,7 @@ def _write_text(text: str, out: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _write_document(doc: dict, config: RunConfig) -> None:
+def _write_document(doc: dict, config: argparse.Namespace) -> None:
     if config.fmt == "csv" and config.command == "diagram":
         lines = ["subset,eta"]
         for entry in doc["atoms"]:
@@ -530,30 +510,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in ("kind", "base", "alpha", "tol", "q_max", "inputs", "out", "fmt", "seed",
-                 "epsilon", "name", "document"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if config.command in ("diagram", "verify"):
-        if config.kind in ALPHA_KINDS and config.alpha is None:
-            parser.error(f"--alpha is required for --instance {config.kind}")
-        if config.kind not in ALPHA_KINDS and config.alpha is not None:
+def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if args.command in ("diagram", "verify"):
+        if args.kind in ALPHA_KINDS and args.alpha is None:
+            parser.error(f"--alpha is required for --instance {args.kind}")
+        if args.kind not in ALPHA_KINDS and args.alpha is not None:
             parser.error(f"--alpha is only meaningful for {sorted(ALPHA_KINDS)}")
-        expected = 2 if config.kind in PAIR_KINDS else None
-        if expected is not None and len(config.inputs) != expected:
-            parser.error(f"--instance {config.kind} needs exactly {expected} input files (P then Q)")
-        if config.kind not in PAIR_KINDS and config.kind != "compressor" and len(config.inputs) != 1:
-            parser.error(f"--instance {config.kind} takes exactly one input file")
-    return config
+        expected = 2 if args.kind in PAIR_KINDS else None
+        if expected is not None and len(args.inputs) != expected:
+            parser.error(f"--instance {args.kind} needs exactly {expected} input files (P then Q)")
+        if args.kind not in PAIR_KINDS and args.kind != "compressor" and len(args.inputs) != 1:
+            parser.error(f"--instance {args.kind} takes exactly one input file")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args, parser)
+        config = parser.parse_args(argv)
+        _check_args(config, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
 

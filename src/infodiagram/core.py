@@ -6,21 +6,27 @@ is the set of generators it contains, the product of two elements is the
 bitwise OR of their masks, and the neutral element is the empty mask 0.
 This makes idempotence and commutativity structural rather than checked.
 
-Any real-valued two-argument function ``k1(y, z)`` ("value of y given z")
-on such a monoid that satisfies the chain rule
+An instance is, for the engine, its vector of totals ``F1(X_K)`` over
+all 2**n masks ``K`` (``F1(0) = 0``).  The chain rule
 
-    k1(y | 0) + k1(z | y) == k1(y OR z | 0)
+    F1(y) + k1(z | y) == F1(y OR z)
 
-induces a signed measure on the 2**n - 1 atoms (minimal cells) of the
-generic n-set Venn diagram, and every conditional interaction term of every
-degree equals the measure of an explicit region of that diagram.  That is
-the mechanism behind information diagrams for Shannon entropy, and it works
-verbatim for Tsallis entropy, KL-type divergences, cross-entropy,
-submodular set functions, and generalization-error advantages.
+then forces every conditional term to be ``k1(y | z) = F1(y OR z) -
+F1(z)``, and the totals induce a signed measure on the 2**n - 1 atoms
+(minimal cells) of the generic n-set Venn diagram in which every
+conditional interaction term of every degree equals the measure of an
+explicit region.  That is the mechanism behind information diagrams for
+Shannon entropy, and it works verbatim for Tsallis entropy, KL-type
+divergences, cross-entropy, submodular set functions, and
+generalization-error advantages.  An instance may also carry an
+independent conditional ``k1`` (for the divergences, the averaged
+conditioning of their action form); the chain-rule check and the
+verification sweep then compare two routes rather than one formula with
+itself.
 
-This module is agnostic about where ``k1`` comes from; concrete instances
-live in :mod:`infodiagram.shannon`, :mod:`infodiagram.divergences`, and
-:mod:`infodiagram.setfun`.
+This module is agnostic about where the totals come from; concrete
+instances live in :mod:`infodiagram.shannon`, :mod:`infodiagram.divergences`,
+and :mod:`infodiagram.setfun`.
 
 Encodings
 ---------
@@ -33,11 +39,10 @@ Encodings
 
 Transforms
 ----------
-By Hu's theorem every diagram quantity is a linear transform of the totals
-vector ``F1(X_K) = k1(K | 0)`` over all masks ``K`` (``F1(0) = 0``).  The
-atom table is its superset Moebius transform and circle unions and Hu
-regions are read off the subset zeta transform of the atoms; both are
-n * 2**n butterflies (Yates 1937).  :func:`atom_measure`,
+By Hu's theorem every diagram quantity is a linear transform of the
+totals vector.  The atom table is its superset Moebius transform and
+circle unions and Hu regions are read off the subset zeta transform of the
+atoms; both are n * 2**n butterflies (Yates 1937).  :func:`atom_measure`,
 :func:`region_measure` and :func:`mobius_oracle` keep the closed-form and
 linear-solve routes as independent oracles for them.
 
@@ -193,13 +198,19 @@ def _submasks_ascending(mask: int) -> list[int]:
 
 @dataclass
 class ChainRuleInstance:
-    """A chain-rule function bundled with everything the engine needs.
+    """A chain-rule function as its totals vector plus an optional conditional.
 
-    ``k1(y, z)`` evaluates the degree-1 conditional term for monoid elements
-    given as bitmasks, for one fixed context (a distribution, a distribution
-    pair, a set function, ...).  It must satisfy ``k1(0, z) == 0`` and the
-    chain rule ``k1(y | 0) + k1(z | y) == k1(y | z | 0)`` within the
-    working tolerance; :func:`check_chain_rule` tests exactly that.
+    ``totals[K]`` is ``F1(X_K)`` for every mask ``K`` of one fixed context
+    (a distribution, a distribution pair, a set function, ...), stored as
+    a tuple of 2**n floats; ``totals[0]`` should be 0.
+
+    ``k1(y, z)`` evaluates the degree-1 conditional term for monoid
+    elements given as bitmasks.  When omitted it is the totals difference
+    ``totals[y | z] - totals[z]``, which the chain rule forces; an
+    instance that passes its own ``k1`` (an independent route, such as an
+    averaged-conditioning action) must satisfy ``k1(0, z) == 0`` and
+    ``totals[y] + k1(z | y) == totals[y | z]`` within the working
+    tolerance, and :func:`check_chain_rule` tests exactly that.
 
     Instances whose chain rule comes from an averaged-conditioning action
     may also carry the function-valued form: ``f1(mask)`` lifts an element
@@ -210,16 +221,22 @@ class ChainRuleInstance:
     """
 
     n: int
-    k1: Callable[[int, int], float]
+    totals: tuple
+    k1: Callable[[int, int], float] | None = None
     f1: Callable[[int], Any] | None = None
     action: Callable[[Any, int], Any] | None = None
     evaluate: Callable[[Any], float] | None = None
     meta: dict = field(default_factory=dict)
     _k1_cache: dict = field(default_factory=dict, repr=False)
-    _term_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        _check_n(self.n)
+        _check_n(self.n)  # before the totals are touched
+        self.totals = tuple(float(t) for t in self.totals)
+        if len(self.totals) != 1 << self.n:
+            raise DomainError(f"need {1 << self.n} totals for n={self.n}, got {len(self.totals)}")
+        if self.k1 is None:
+            totals = self.totals
+            self.k1 = lambda y_mask, z_mask: totals[y_mask | z_mask] - totals[z_mask]
 
     def k1c(self, y_mask: int, z_mask: int) -> float:
         """Memoized ``k1``; the recursion revisits shared terms exponentially often."""
@@ -231,8 +248,8 @@ class ChainRuleInstance:
         return val
 
     def total(self, y_mask: int) -> float:
-        """Unconditional degree-1 value ``k1(y | 0)`` of a joint element."""
-        return self.k1c(y_mask, 0)
+        """Unconditional degree-1 value ``F1(X_y)`` of a joint element."""
+        return self.totals[y_mask]
 
     def has_action_form(self) -> bool:
         return self.f1 is not None and self.action is not None and self.evaluate is not None
@@ -245,10 +262,10 @@ def atom_measure(inst: ChainRuleInstance, i_mask: int) -> float:
 
         sum over S subset of I of (-1)**(|S| + 1) * F1(X_(S union I^c))
 
-    where ``F1(y) = k1(y | 0)`` and ``I^c`` is the complement of ``I``;
-    the empty joint (only reachable when ``I`` is the full set) is skipped
-    since ``F1(0) = 0``.  Uncached: each call costs O(2**|I|) evaluations
-    of ``k1``, summed in ascending submask order.
+    where ``F1`` is the totals vector and ``I^c`` is the complement of
+    ``I``; the empty joint (only reachable when ``I`` is the full set) is
+    skipped since ``F1(0) = 0``.  Each call sums O(2**|I|) totals in
+    ascending submask order.
     """
     _check_element(i_mask, inst.n, "atom")
     if i_mask == 0:
@@ -271,11 +288,13 @@ def atom_table(inst: ChainRuleInstance) -> dict[int, float]:
 
     The closed form of :func:`atom_measure` is ``eta(I) = -mu(I^c)``, where
     ``mu`` is the superset Moebius transform of the totals vector ``F1``
-    (entry 0 is ``F1(0) = 0``).  One butterfly pass per generator computes
-    ``mu`` in n * 2**n operations, against O(3**n) for the atoms one by one.
+    (entry 0 is taken as ``F1(0) = 0``).  One butterfly pass per generator
+    computes ``mu`` in n * 2**n operations, against O(3**n) for the atoms
+    one by one.
     """
     size = 1 << inst.n
-    mu = np.array([0.0] + [inst.total(k) for k in range(1, size)])
+    mu = np.array(inst.totals)
+    mu[0] = 0.0
     for i in range(inst.n):
         view = mu.reshape(-1, 2, 1 << i)
         view[:, 0, :] -= view[:, 1, :]
@@ -322,9 +341,9 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
     """Conditional interaction term of degree ``len(l_masks)`` given ``j_mask``.
 
     Defined recursively: degree 1 is ``k1(l | j)``, and each higher degree
-    subtracts a copy conditioned additionally on its last argument.  The
-    memo key is (sorted argument prefix, conditioning mask), which also
-    canonicalizes the argument order.
+    subtracts a copy conditioned additionally on its last argument, so a
+    degree-q term makes 2**(q - 1) calls of the memoized ``k1``.  The
+    arguments are sorted first, which canonicalizes their order.
     """
     l_masks = tuple(l_masks)
     if not l_masks:
@@ -336,17 +355,10 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
 
 
 def _interaction_rec(inst: ChainRuleInstance, prefix: tuple[int, ...], z_mask: int) -> float:
-    key = (prefix, z_mask)
-    val = inst._term_cache.get(key)
-    if val is None:
-        if len(prefix) == 1:
-            val = inst.k1c(prefix[0], z_mask)
-        else:
-            rest = prefix[:-1]
-            last = prefix[-1]
-            val = _interaction_rec(inst, rest, z_mask) - _interaction_rec(inst, rest, last | z_mask)
-        inst._term_cache[key] = val
-    return val
+    if len(prefix) == 1:
+        return inst.k1c(prefix[0], z_mask)
+    rest = prefix[:-1]
+    return _interaction_rec(inst, rest, z_mask) - _interaction_rec(inst, rest, prefix[-1] | z_mask)
 
 
 def interaction_incl_excl(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
@@ -429,12 +441,13 @@ def mobius_oracle(inst: ChainRuleInstance, tol: float = DEFAULT_TOL) -> dict[int
 
 def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
                      samples: int | None = None, seed: int = 0):
-    """Residuals of the instance's own chain rule.
+    """Residuals of the instance's chain rule: its conditional against its totals.
 
-    Checks ``k1(0 | z) == 0`` and ``k1(y | 0) + k1(z | y) == k1(y|z | 0)``,
-    exhaustively over all element pairs, or over ``samples`` random pairs
-    when given.  Returns ``(max_gap, violations)`` where violations is the
-    list of ``(y, z, gap)`` beyond ``tol``.
+    Checks ``k1(0 | z) == 0`` and ``F1(y) + k1(z | y) == F1(y|z)``, where
+    ``F1`` is the totals vector, exhaustively over all element pairs, or
+    over ``samples`` random pairs when given.  Returns ``(max_gap,
+    violations)`` where violations is the list of ``(y, z, gap)`` beyond
+    ``tol``.
     """
     n = inst.n
     size = 1 << n
@@ -550,12 +563,13 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     subset zeta transform of the atoms (kept as ``DiagramReport.zeta``).
     Exhaustive up to n = 5 (argument tuples are swept as sorted
     multisets; the interaction canonicalizes order, so permutations are
-    float-identical); sampled with a fixed seed beyond that.
+    float-identical); ``samples`` (at least 1) checks drawn with a fixed
+    seed beyond that.
 
-    If the instance violates its own chain rule beyond ``tol``, a
-    :class:`VerificationError` naming the violating (Y, Z) pairs is raised
-    first (disable with ``check_chain=False`` to see the identity residuals
-    of a broken instance).
+    If the instance's conditional disagrees with its totals beyond
+    ``tol``, a :class:`VerificationError` naming the violating (Y, Z)
+    pairs is raised first (disable with ``check_chain=False`` to see the
+    identity residuals of a broken instance).
     """
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
@@ -566,8 +580,10 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
         raise DomainError(f"verify mode {mode!r} is not 'auto', 'exhaustive' or 'sampled'")
     if mode == "exhaustive" and n > VERIFY_EXHAUSTIVE_MAX_N:
         raise DomainError(f"exhaustive verification is capped at n={VERIFY_EXHAUSTIVE_MAX_N}, got n={n}")
+    if mode == "sampled" and samples < 1:
+        raise DomainError(f"sampled verification needs samples >= 1, got {samples}")
 
-    chain_samples = None if mode == "exhaustive" else max(samples, 1)
+    chain_samples = None if mode == "exhaustive" else samples
     chain_gap = None
     if check_chain:
         chain_gap, violations = check_chain_rule(inst, tol, samples=chain_samples, seed=seed)
@@ -627,8 +643,9 @@ def relative_instance(inst: ChainRuleInstance, y_fixed=(), z_fixed: int = 0) -> 
     The derived degree-1 term is ``k1'(v | w) = K_(p+1)(Y_1; ...; Y_p; v |
     w join z_fixed)``, so the derived degree-q terms are the original
     degree-(p+q) terms with the fixed block prepended and ``z_fixed`` mixed
-    into the conditioning.  The derived instance satisfies the chain rule
-    whenever the original does and passes verification on its own.
+    into the conditioning; its totals are ``k1'(K | 0)``.  The derived
+    instance satisfies the chain rule whenever the original does and
+    passes verification on its own.
     """
     y_fixed = tuple(y_fixed)
     for y in y_fixed:
@@ -643,4 +660,5 @@ def relative_instance(inst: ChainRuleInstance, y_fixed=(), z_fixed: int = 0) -> 
         "fixed": [list(indices_of(y)) for y in y_fixed],
         "given": list(indices_of(z_fixed)),
     }
-    return ChainRuleInstance(n=inst.n, k1=derived_k1, meta=meta)
+    totals = [derived_k1(k, 0) for k in range(1 << inst.n)]
+    return ChainRuleInstance(n=inst.n, totals=totals, k1=derived_k1, meta=meta)

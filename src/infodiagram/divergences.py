@@ -12,26 +12,30 @@ with its own averaged-conditioning action:
 Every one of these chain rules forces ``k1(y | z) = F1(y or z) - F1(z)``:
 the deformed conditional equals the joint-minus-marginal difference of the
 totals for every alpha.  What fails for alpha != 1 is the plain average of
-the conditional values with weights ``P_Z(z)``.  The conditional degree-1
-terms are computed through the action form, which keeps an evaluation of
-``k1`` independent of the totals for the verification sweep.
+the conditional values with weights ``P_Z(z)``.  Each instance therefore
+carries two independent routes: its totals are the closed-form value of
+every joint (:func:`tsallis_entropy`, :func:`kl`, :func:`cross_entropy`,
+:func:`alpha_kl`), and its conditional ``k1`` is the action-form average,
+so the chain-rule check and the verification sweep compare one against
+the other.
 Tsallis and alpha-KL values use the base-free alpha-logarithm; their
 alpha -> 1 limits are the natural-log Shannon entropy and KL divergence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainRuleInstance, DomainError, _check_n
+from .core import ChainRuleInstance, DomainError
 from .shannon import (
     Dist,
     InfoFunction,
     RandomVariable,
-    _check_same_space,
+    _lattice_totals,
     condition,
     joint_of,
     log_scale,
@@ -99,27 +103,16 @@ def tsallis_entropy(p: Dist, x: RandomVariable, alpha: float) -> float:
 def tsallis_instance(p: Dist, gens, alpha: float) -> ChainRuleInstance:
     """Tsallis alpha-entropy as a chain-rule instance.
 
-    ``k1(y, z)`` averages the conditional alpha-entropies with deformed
+    The totals are the alpha-entropies of the joints; ``k1(y, z)``
+    independently averages the conditional alpha-entropies with deformed
     weights ``P_Z(z)**alpha``.  This alpha-action satisfies the chain rule,
     so it equals the joint-minus-marginal difference ``F1(y or z) - F1(z)``;
     the plain ``P_Z(z)``-weighted average does not for alpha != 1.
     """
     alpha = _check_alpha(alpha)
-    gens = tuple(gens)
-    n = len(gens)
-    _check_n(n)
-    for g in gens:
-        _check_same_space(p, g)
+    gens, totals = _lattice_totals(p, gens, lambda x: tsallis_entropy(p, x, alpha))
     size = len(p)
-
-    joints: dict[int, RandomVariable] = {}
-
-    def var(mask: int) -> RandomVariable:
-        v = joints.get(mask)
-        if v is None:
-            v = joint_of(gens, mask, size)
-            joints[mask] = v
-        return v
+    var = functools.cache(lambda mask: joint_of(gens, mask, size))
 
     def act_alpha(x: RandomVariable, f, dist: Dist) -> float:
         pushed = marginal(dist, x)
@@ -136,7 +129,8 @@ def tsallis_instance(p: Dist, gens, alpha: float) -> ChainRuleInstance:
         return act_alpha(var(z_mask), lambda d: tsallis_entropy(d, y, alpha), p)
 
     return ChainRuleInstance(
-        n=n,
+        n=len(gens),
+        totals=totals,
         k1=k1,
         f1=lambda mask: InfoFunction(lambda d: tsallis_entropy(d, var(mask), alpha), "entropy"),
         action=lambda f, mask: InfoFunction(lambda d: act_alpha(var(mask), f, d), "conditioned"),
@@ -194,24 +188,13 @@ def _pair_instance(pair: DistPair, gens, value_fn, weight_fn, meta) -> ChainRule
     """Shared scaffolding for the two-distribution instances.
 
     ``value_fn(pair, x)`` is the degree-1 value from the point of view of a
-    variable; ``weight_fn(pv, qv)`` the conditioning weight of one value of
-    the conditioning variable.
+    variable, which gives the totals; ``weight_fn(pv, qv)`` the conditioning
+    weight of one value of the conditioning variable in the action-form
+    ``k1``.
     """
-    gens = tuple(gens)
-    n = len(gens)
-    _check_n(n)
-    for g in gens:
-        _check_same_space(pair.p, g)
+    gens, totals = _lattice_totals(pair.p, gens, lambda x: value_fn(pair, x))
     size = len(pair)
-
-    joints: dict[int, RandomVariable] = {}
-
-    def var(mask: int) -> RandomVariable:
-        v = joints.get(mask)
-        if v is None:
-            v = joint_of(gens, mask, size)
-            joints[mask] = v
-        return v
+    var = functools.cache(lambda mask: joint_of(gens, mask, size))
 
     def act_pair(x: RandomVariable, f, pr: DistPair) -> float:
         pm, qm, values = _aligned_marginals(pr, x)
@@ -228,7 +211,8 @@ def _pair_instance(pair: DistPair, gens, value_fn, weight_fn, meta) -> ChainRule
         return act_pair(var(z_mask), lambda pr: value_fn(pr, y), pair)
 
     return ChainRuleInstance(
-        n=n,
+        n=len(gens),
+        totals=totals,
         k1=k1,
         f1=lambda mask: InfoFunction(lambda pr: value_fn(pr, var(mask)), "divergence"),
         action=lambda f, mask: InfoFunction(lambda pr: act_pair(var(mask), f, pr), "conditioned"),

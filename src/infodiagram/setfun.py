@@ -21,7 +21,7 @@ import zlib
 from dataclasses import dataclass
 
 from .core import ChainRuleInstance, DomainError, _check_n, indices_of
-from .shannon import Dist, RandomVariable, _check_same_space, entropy, joint, joint_of
+from .shannon import Dist, RandomVariable, _check_same_space, _lattice_totals, entropy, joint, joint_of
 
 SUBMODULAR_MAX_N = 12
 SUBMODULAR_TOL = 1e-12
@@ -66,22 +66,13 @@ class SetFunction:
 
 def entropy_setfunction(p: Dist, gens, base: str = "nats") -> SetFunction:
     """The classical entropy set function ``R(A) = H(X_A; P)``."""
-    gens = tuple(gens)
-    n = len(gens)
-    _check_n(n)
-    for g in gens:
-        _check_same_space(p, g)
-    size = len(p)
-    values = [entropy(p, joint_of(gens, mask, size), base) for mask in range(1 << n)]
-    return SetFunction(n=n, values=tuple(values))
+    gens, values = _lattice_totals(p, gens, lambda x: entropy(p, x, base))
+    return SetFunction(n=len(gens), values=tuple(values))
 
 
 def r1_instance(r: SetFunction) -> ChainRuleInstance:
-    """Chain-rule instance of an arbitrary set function: ``k1(a, b) = R(a|b) - R(b)``."""
-    def k1(y_mask: int, z_mask: int) -> float:
-        return r(y_mask | z_mask) - r(z_mask)
-
-    return ChainRuleInstance(n=r.n, k1=k1, meta={"kind": "setfun"})
+    """Chain-rule instance of an arbitrary set function: totals ``R(K) - R(0)``."""
+    return ChainRuleInstance(n=r.n, totals=[v - r.values[0] for v in r.values], meta={"kind": "setfun"})
 
 
 def is_submodular(r: SetFunction, tol: float = SUBMODULAR_TOL):
@@ -148,15 +139,12 @@ class HypothesisEvaluator:
 def advantage_instance(e: HypothesisEvaluator) -> ChainRuleInstance:
     """Advantage of feature access as a chain-rule instance.
 
-    ``k1(a, b) = E(b) - E(a|b)``: what a perfect learner gains from the
-    features in ``a`` when it already sees ``b``.  Degree-1 conditionals
-    are >= 0 whenever ``e`` is monotone; the degree-2 term can still be
-    negative (feature synergy).
+    The totals are ``E(0) - E(K)``, so ``k1(a, b) = E(b) - E(a|b)``: what a
+    perfect learner gains from the features in ``a`` when it already sees
+    ``b``.  Degree-1 conditionals are >= 0 whenever ``e`` is monotone; the
+    degree-2 term can still be negative (feature synergy).
     """
-    def k1(y_mask: int, z_mask: int) -> float:
-        return e(z_mask) - e(y_mask | z_mask)
-
-    return ChainRuleInstance(n=e.n, k1=k1, meta={"kind": "advantage"})
+    return ChainRuleInstance(n=e.n, totals=[e.errors[0] - v for v in e.errors], meta={"kind": "advantage"})
 
 
 def bayes_error_evaluator(p: Dist, features, target: RandomVariable,

@@ -5,8 +5,8 @@ two variables carry the same information iff they induce the same
 partition, which is what :func:`equivalent` decides.  Conditioning an
 information function by a variable is the averaged conditioning
 ``(X.F)(P) = sum over x of P_X(x) * F(P | X = x)``, and Shannon entropy is
-the function satisfying the chain rule ``H(XY) = H(X) + X.H(Y)``, which
-is the single identity :func:`shannon_instance` feeds to the diagram engine.
+the function satisfying the chain rule ``H(XY) = H(X) + X.H(Y)``, so
+:func:`shannon_instance` hands the diagram engine just the joint entropies.
 
 Conventions: ``0 * log 0 = 0``; conditioning on a zero-probability value
 returns the distribution unchanged; natural log by default, ``base="bits"``
@@ -236,46 +236,36 @@ def conditioned(x: RandomVariable, f) -> InfoFunction:
     return InfoFunction(lambda p: act(x, f, p), "conditioned")
 
 
-def shannon_instance(p: Dist, gens, base: str = "nats") -> ChainRuleInstance:
-    """Entropy as a chain-rule instance over the monoid the generators span.
+def _lattice_totals(p: Dist, gens, value):
+    """Validated generators and ``value(X_K) - value(X_0)`` for every mask ``K``.
 
-    ``k1(y, z)`` is the conditional entropy of the joint of the ``y``
-    generators given the joint of the ``z`` generators, i.e.
-    ``H(X_(y|z)) - H(X_z)``.  Also carries the function-valued form so the
-    action axioms can be validated.
+    ``value`` maps a joint variable to its unconditional value under the
+    builder's fixed context; each joint is built once and dropped as soon
+    as its value is taken.  Returns ``(gens, totals)``.
     """
     gens = tuple(gens)
-    n = len(gens)
-    _check_n(n)
+    _check_n(len(gens))
     for g in gens:
         _check_same_space(p, g)
     size = len(p)
+    values = [value(joint_of(gens, mask, size)) for mask in range(1 << len(gens))]
+    return gens, [v - values[0] for v in values]
 
-    joints: dict[int, RandomVariable] = {}
-    ents: dict[int, float] = {}
 
-    def var(mask: int) -> RandomVariable:
-        v = joints.get(mask)
-        if v is None:
-            v = joint_of(gens, mask, size)
-            joints[mask] = v
-        return v
+def shannon_instance(p: Dist, gens, base: str = "nats") -> ChainRuleInstance:
+    """Entropy as a chain-rule instance over the monoid the generators span.
 
-    def h(mask: int) -> float:
-        val = ents.get(mask)
-        if val is None:
-            val = entropy(p, var(mask), base)
-            ents[mask] = val
-        return val
-
-    def k1(y_mask: int, z_mask: int) -> float:
-        return h(y_mask | z_mask) - h(z_mask)
-
+    The totals are the joint entropies ``H(X_K)``, so the conditional term
+    is the totals difference ``H(X_(y|z)) - H(X_z)``.  Also carries the
+    function-valued form so the action axioms can be validated.
+    """
+    gens, totals = _lattice_totals(p, gens, lambda x: entropy(p, x, base))
+    size = len(p)
     return ChainRuleInstance(
-        n=n,
-        k1=k1,
-        f1=lambda mask: entropy_function(var(mask), base),
-        action=lambda f, mask: conditioned(var(mask), f),
+        n=len(gens),
+        totals=totals,
+        f1=lambda mask: entropy_function(joint_of(gens, mask, size), base),
+        action=lambda f, mask: conditioned(joint_of(gens, mask, size), f),
         evaluate=lambda f: f(p),
         meta={"kind": "shannon", "base": base},
     )

@@ -369,7 +369,7 @@ def corrupt(inst: ChainRuleInstance, bad_y: int, bad_z: int, delta: float = 0.1)
         bump = delta if (y, z) == (bad_y, bad_z) else 0.0
         return inst.k1(y, z) + bump
 
-    return ChainRuleInstance(n=inst.n, k1=k1)
+    return ChainRuleInstance(n=inst.n, totals=inst.totals, k1=k1)
 
 
 def test_check_chain_rule_clean_and_corrupted():
@@ -460,6 +460,60 @@ def test_verify_rejects_bad_qmax():
         verify_hu(random_r1(rng, 2), q_max=0)
 
 
+def test_verify_rejects_empty_sample_before_any_work():
+    def untouchable(y, z):
+        raise AssertionError("k1 evaluated before the argument check")
+
+    inst = ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0, 2.0), k1=untouchable)
+    for samples in (0, -3):
+        with pytest.raises(DomainError, match="samples"):
+            verify_hu(inst, mode="sampled", samples=samples)
+
+
+def test_rescaled_conditional_fails_against_its_totals():
+    # a nats conditional obeys the chain rule on its own, but not with bits totals
+    rng = np.random.default_rng(262)
+    dist, gens = random_joint(rng, 3)
+    nats = shannon_instance(dist, gens, "nats")
+    bits = shannon_instance(dist, gens, "bits")
+    mixed = ChainRuleInstance(n=3, totals=bits.totals, k1=nats.k1)
+    _, violations = check_chain_rule(nats, 1e-9)
+    assert not violations
+    _, violations = check_chain_rule(mixed, 1e-9)
+    assert violations
+    with pytest.raises(VerificationError, match="chain rule"):
+        verify_hu(mixed)
+
+
+def test_totals_length_is_checked():
+    with pytest.raises(DomainError, match="totals"):
+        ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match="totals"):
+        ChainRuleInstance(n=2, totals=[0.0] * 8)
+
+
+def test_totals_untouched_beyond_the_cap(monkeypatch):
+    class Untouchable:
+        def __iter__(self):
+            raise AssertionError("totals read before the cap check")
+
+        def __len__(self):
+            raise AssertionError("totals read before the cap check")
+
+    monkeypatch.setenv("INFODIAGRAM_MAX_N", "3")
+    with pytest.raises(DomainError, match="INFODIAGRAM_MAX_N"):
+        ChainRuleInstance(n=4, totals=Untouchable())
+
+
+def test_default_conditional_is_the_totals_difference():
+    totals = (0.0, 0.5, 0.75, 1.0)
+    inst = ChainRuleInstance(n=2, totals=totals)
+    for y in range(4):
+        for z in range(4):
+            assert inst.k1c(y, z) == totals[y | z] - totals[z]
+    assert inst.total(3) == 1.0
+
+
 def test_verify_residual_scales_with_chain_noise():
     # an instance that honors the chain rule only up to delta still satisfies
     # every identity up to a small multiple of delta * 2**q_max
@@ -469,7 +523,7 @@ def test_verify_residual_scales_with_chain_noise():
     noise = {
         (y, z): float(rng.uniform(-delta, delta)) for y in range(8) for z in range(8)
     }
-    noisy = ChainRuleInstance(n=3, k1=lambda y, z: base.k1(y, z) + noise[(y, z)])
+    noisy = ChainRuleInstance(n=3, totals=base.totals, k1=lambda y, z: base.k1(y, z) + noise[(y, z)])
     chain_gap, _ = check_chain_rule(noisy, tol=0.0)
     assert 0 < chain_gap <= 3 * delta
     report = verify_hu(noisy, q_max=3, tol=1e-9, check_chain=False)
@@ -565,6 +619,7 @@ def test_validate_action_form_catches_broken_action():
     inst = shannon_instance(dist, gens)
     broken = ChainRuleInstance(
         n=inst.n,
+        totals=inst.totals,
         k1=inst.k1,
         f1=inst.f1,
         action=lambda f, mask: InfoFunction(lambda p: inst.action(f, mask)(p) ** 2 if mask else f(p)),
