@@ -18,6 +18,7 @@ document goes to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -48,7 +49,7 @@ from .setfun import (
     compressor_setfunction,
     r1_instance,
 )
-from .shannon import Dist, IngestionError, RandomVariable, empirical_from_rows, shannon_instance
+from .shannon import MAX_SAMPLE_POINTS, Dist, IngestionError, RandomVariable, empirical_from_rows, shannon_instance
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -124,6 +125,8 @@ def paired_empirical(path_p: str, path_q: str):
     index: dict[tuple, int] = {}
     for row in rows_p + rows_q:
         if row not in index:
+            if len(order) >= MAX_SAMPLE_POINTS:
+                raise IngestionError(f"more than {MAX_SAMPLE_POINTS} distinct sample points")
             index[row] = len(order)
             order.append(row)
 
@@ -446,29 +449,38 @@ def cmd_render(config: argparse.Namespace) -> str:
 # plumbing
 
 
-def _write_text(text: str, out: str) -> None:
+@contextlib.contextmanager
+def _output(out: str):
+    """The output handle: stdout for ``-``, else the file, closed on exit."""
     if out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _write_json(doc: dict, out: str) -> None:
+    with _output(out) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_document(doc: dict, config: argparse.Namespace) -> None:
-    if config.fmt == "csv" and config.command == "diagram":
-        lines = ["subset,eta"]
-        for entry in doc["atoms"]:
-            lines.append(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}")
-        _write_text("\n".join(lines) + "\n", config.out)
+    """Stream the document to ``config.out`` without building its text first."""
+    if config.fmt != "csv":
+        _write_json(doc, config.out)
         return
-    if config.fmt == "csv" and config.command == "verify":
-        lines = ["q,L,J,lhs,rhs,gap"]
-        for row in doc["residuals"]:
-            l_txt = "|".join(" ".join(map(str, l)) for l in row["L"])
-            j_txt = " ".join(map(str, row["J"]))
-            lines.append(f"{row['q']},\"{l_txt}\",\"{j_txt}\",{row['lhs']!r},{row['rhs']!r},{row['gap']!r}")
-        _write_text("\n".join(lines) + "\n", config.out)
-        return
-    _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", config.out)
+    with _output(config.out) as fh:
+        if config.command == "diagram":
+            fh.write("subset,eta\n")
+            for entry in doc["atoms"]:
+                fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
+        else:
+            fh.write("q,L,J,lhs,rhs,gap\n")
+            for row in doc["residuals"]:
+                l_txt = "|".join(" ".join(map(str, l)) for l in row["L"])
+                j_txt = " ".join(map(str, row["J"]))
+                fh.write(f"{row['q']},\"{l_txt}\",\"{j_txt}\",{row['lhs']!r},{row['rhs']!r},{row['gap']!r}\n")
 
 
 def _add_instance_options(sub: argparse.ArgumentParser) -> None:
@@ -545,14 +557,15 @@ def main(argv=None) -> int:
             return code
         if config.command == "examples":
             doc, code = cmd_examples(config)
-            _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", config.out)
+            _write_json(doc, config.out)
             if code != EXIT_OK:
                 print(f"example {config.name!r} failed: value {doc['value']!r} vs expected "
                       f"{doc['expected']!r}", file=sys.stderr)
             return code
         if config.command == "render":
             svg = cmd_render(config)
-            _write_text(svg, config.out)
+            with _output(config.out) as fh:
+                fh.write(svg)
             return EXIT_OK
         raise IngestionError(f"unknown command {config.command!r}")
     except IngestionError as exc:

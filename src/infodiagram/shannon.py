@@ -162,12 +162,20 @@ def act(x: RandomVariable, f, p: Dist) -> float:
     """
     _check_same_space(p, x)
     pushed = marginal(p, x)
+    return _average(x, f, p, pushed.points, pushed.masses, condition)
+
+
+def _average(x: RandomVariable, f, ctx, labels, weights, condition_fn) -> float:
+    """Sum of ``w * f(condition_fn(ctx, x, v))`` over labels ``v`` with weight ``w != 0``.
+
+    The averaging loop of every action, Shannon's and the deformed ones.
+    """
     total = 0.0
-    for value, weight in zip(pushed.points, pushed.masses):
+    for value, weight in zip(labels, weights):
         w = float(weight)
         if w == 0.0:
             continue
-        total += w * f(condition(p, x, value))
+        total += w * f(condition_fn(ctx, x, value))
     return total
 
 
@@ -236,18 +244,19 @@ def conditioned(x: RandomVariable, f) -> InfoFunction:
     return InfoFunction(lambda p: act(x, f, p), "conditioned")
 
 
-def _lattice_totals(p: Dist, gens, value):
+def _lattice_totals(ctx, gens, value):
     """Validated generators and ``value(X_K) - value(X_0)`` for every mask ``K``.
 
-    ``value`` maps a joint variable to its unconditional value under the
-    builder's fixed context; each joint is built once and dropped as soon
-    as its value is taken.  Returns ``(gens, totals)``.
+    ``ctx`` is the builder's fixed context, a distribution or a pair; only
+    its length is read here.  ``value`` maps a joint variable to its
+    unconditional value under it; each joint is built once and dropped as
+    soon as its value is taken.  Returns ``(gens, totals)``.
     """
     gens = tuple(gens)
     _check_n(len(gens))
     for g in gens:
-        _check_same_space(p, g)
-    size = len(p)
+        _check_same_space(ctx, g)
+    size = len(ctx)
     values = [value(joint_of(gens, mask, size)) for mask in range(1 << len(gens))]
     return gens, [v - values[0] for v in values]
 

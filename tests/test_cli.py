@@ -119,6 +119,28 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["-1", "nan", "heavy"])
+def test_bad_weight_names_file_and_row(tmp_path, capsys, bad):
+    csv_path = write(tmp_path, "w.csv", f"A,B,__weight\n0,0,1\n1,1,{bad}\n")
+    code, out, err = run(capsys, "diagram", csv_path, "--instance", "shannon")
+    assert code == 2
+    assert out == ""
+    assert f"{csv_path} row 2: weight" in err
+
+
+@pytest.mark.parametrize("kind", ["tsallis", "alpha-kl"])
+def test_negative_alpha_needs_strictly_positive_masses(tmp_path, capsys, kind):
+    # conditioning zeroes masses, which a negative power cannot take
+    p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
+    q_csv = write(tmp_path, "q.csv", "A,B,__weight\n0,0,2\n0,1,1\n1,0,1\n1,1,4\n")
+    inputs = [p_csv, q_csv] if kind == "alpha-kl" else [p_csv]
+    for command in ("diagram", "verify"):
+        code, out, err = run(capsys, command, *inputs, "--instance", kind, "--alpha", "-0.5")
+        assert code == 3
+        assert out == ""
+        assert "strictly positive" in err
+
+
 # ---------------------------------------------------------------------------
 # two-distribution ingestion
 
@@ -139,6 +161,20 @@ def test_pair_join_and_absolute_continuity(tmp_path, capsys):
 
     code, _, _ = run(capsys, "diagram", p_csv, "--instance", "kl")
     assert code == 2  # needs both P and Q
+
+
+def test_pair_sample_point_cap(tmp_path, capsys, monkeypatch):
+    # the union of both tables' distinct rows is the sample space; it is capped
+    monkeypatch.setattr("infodiagram.cli.MAX_SAMPLE_POINTS", 3)
+    p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n")
+    q3_csv = write(tmp_path, "q3.csv", "A,B\n0,0\n0,1\n1,0\n")
+    q4_csv = write(tmp_path, "q4.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
+    code, _, _ = run(capsys, "diagram", p_csv, q3_csv, "--instance", "kl")
+    assert code == 0
+    code, out, err = run(capsys, "diagram", p_csv, q4_csv, "--instance", "kl")
+    assert code == 2
+    assert out == ""
+    assert "more than 3 distinct sample points" in err
 
 
 # ---------------------------------------------------------------------------

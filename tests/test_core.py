@@ -208,7 +208,7 @@ def test_interaction_with_itself_is_degree_one():
 
 
 def test_interaction_symmetry_is_exact():
-    # the memo key sorts the arguments, so permutations are float-identical
+    # the arguments are sorted before the recursion, so permutations are float-identical
     rng = np.random.default_rng(8)
     inst = random_r1(rng, 4)
     l_masks = (0b0011, 0b1010, 0b0110)

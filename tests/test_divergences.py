@@ -328,3 +328,20 @@ def test_deformed_conditionals_are_totals_differences_but_not_plain_averages():
                 plain_gap = max(plain_gap, abs(plain - (tsallis.total(y | z) - tsallis.total(z))))
     # the P_Z-weighted average is a different, non-chain-rule quantity
     assert plain_gap > 0.1
+
+
+def test_negative_alpha_weights_reject_zero_mass_labels():
+    # the deformed weights P_X(v)**alpha have a pole at P_X(v) = 0 for alpha < 0;
+    # a constant function isolates the weights from the conditioned values
+    rng = np.random.default_rng(57)
+    dist, gens = random_joint(rng, 2)
+    pair = random_pair(rng, dist)
+    masses = np.where(np.array(gens[0].labels) == 0, 0.0, dist.masses)
+    zero = Dist(masses=masses / masses.sum(), points=dist.points)
+    contexts = ((tsallis_instance, dist, zero), (alpha_kl_instance, pair, DistPair(p=zero, q=pair.q)))
+    for build, ctx, zero_ctx in contexts:
+        with pytest.raises(DomainError, match="strictly positive"):
+            build(ctx, gens, -0.5).action(lambda c: 1.0, 0b01)(zero_ctx)
+        # for alpha > 0 the zero-mass label only drops out of the average
+        weight = build(ctx, gens, 0.5).action(lambda c: 1.0, 0b01)(zero_ctx)
+        assert 0.0 < weight < float("inf")
