@@ -49,7 +49,7 @@ from .setfun import (
     compressor_setfunction,
     r1_instance,
 )
-from .shannon import MAX_SAMPLE_POINTS, Dist, IngestionError, RandomVariable, empirical_from_rows, shannon_instance
+from .shannon import Dist, IngestionError, RandomVariable, _sample_space, _weight, empirical_from_rows, shannon_instance
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -93,18 +93,8 @@ def read_table(path: str):
     for i, row in enumerate(raw[1:], start=1):
         if len(row) != len(header):
             raise IngestionError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
-        values = tuple(v for j, v in enumerate(row) if j != weight_col)
-        rows.append(values)
-        if weight_col is None:
-            weights.append(1.0)
-        else:
-            try:
-                w = float(row[weight_col])
-            except ValueError:
-                raise IngestionError(f"{path} row {i}: weight {row[weight_col]!r} is not a number") from None
-            if not math.isfinite(w) or w < 0:
-                raise IngestionError(f"{path} row {i}: weight {w!r} must be finite and >= 0")
-            weights.append(w)
+        rows.append(tuple(v for j, v in enumerate(row) if j != weight_col))
+        weights.append(1.0 if weight_col is None else _weight(row[weight_col], f"{path} row {i}"))
     return names, rows, weights
 
 
@@ -120,29 +110,11 @@ def paired_empirical(path_p: str, path_q: str):
     names_q, rows_q, weights_q = read_table(path_q)
     if names_p != names_q:
         raise IngestionError(f"variable names differ between {path_p} and {path_q}: {names_p} vs {names_q}")
-
-    order: list[tuple] = []
-    index: dict[tuple, int] = {}
-    for row in rows_p + rows_q:
-        if row not in index:
-            if len(order) >= MAX_SAMPLE_POINTS:
-                raise IngestionError(f"more than {MAX_SAMPLE_POINTS} distinct sample points")
-            index[row] = len(order)
-            order.append(row)
-
-    def masses(rows, weights, path):
-        acc = np.zeros(len(order))
-        for row, w in zip(rows, weights):
-            acc[index[row]] += w
-        total = float(acc.sum())
-        if total <= 0:
-            raise IngestionError(f"{path}: total weight must be positive")
-        return acc / total
-
-    p = Dist(masses=masses(rows_p, weights_p, path_p), points=tuple(order))
-    q = Dist(masses=masses(rows_q, weights_q, path_q), points=tuple(order))
-    pair = DistPair(p=p, q=q)
-    gens = [RandomVariable(labels=tuple(row[j] for row in order), name=names_p[j]) for j in range(len(names_p))]
+    points, (masses_p, masses_q) = _sample_space(
+        [(rows_p, weights_p, f"{path_p}: "), (rows_q, weights_q, f"{path_q}: ")]
+    )
+    pair = DistPair(p=Dist(masses=masses_p, points=points), q=Dist(masses=masses_q, points=points))
+    gens = [RandomVariable(labels=column, name=name) for column, name in zip(zip(*points), names_p)]
     return pair, gens, names_p
 
 
@@ -170,7 +142,7 @@ def _read_subset_table(path: str, field_name: str):
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise IngestionError(f"{path}: 'n' must be a positive integer")
     _check_n(n)  # before anything of size 2**n is built
     table = doc[field_name]

@@ -92,7 +92,7 @@ def max_generators() -> int:
 
 def _check_n(n: int) -> None:
     cap = max_generators()
-    if not isinstance(n, int) or n < 1 or n > cap:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > cap:
         raise DomainError(
             f"generator count n={n} outside 1..{cap} "
             "(raise the cap with INFODIAGRAM_MAX_N)"

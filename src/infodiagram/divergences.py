@@ -57,12 +57,12 @@ class DistPair:
             raise DomainError(f"sample-space size mismatch: {len(self.p)} vs {len(self.q)}")
         if self.p.points != self.q.points:
             raise DomainError("the two distributions enumerate different sample points")
-        for i in range(len(self.p)):
-            if self.q.masses[i] == 0.0 and self.p.masses[i] > 0.0:
-                raise DomainError(
-                    f"absolute continuity violated at sample point {self.p.points[i]!r}: "
-                    "Q assigns 0 where P does not"
-                )
+        bad = np.flatnonzero((self.q.masses == 0.0) & (self.p.masses > 0.0))
+        if bad.size:
+            raise DomainError(
+                f"absolute continuity violated at sample point {self.p.points[bad[0]]!r}: "
+                "Q assigns 0 where P does not"
+            )
 
     def __len__(self) -> int:
         return len(self.p)

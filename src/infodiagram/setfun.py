@@ -20,7 +20,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .core import ChainRuleInstance, DomainError, _check_n, indices_of
+from .core import ChainRuleInstance, DomainError, _check_n, indices_of, mask_of
 from .shannon import Dist, RandomVariable, _check_same_space, _lattice_totals, entropy, joint, joint_of
 
 SUBMODULAR_MAX_N = 12
@@ -54,9 +54,11 @@ class SetFunction:
         _check_n(n)  # before allocating 2**n slots
         values = [None] * (1 << n)
         for key, val in mapping.items():
-            mask = key if isinstance(key, int) else sum(1 << (i - 1) for i in key)
+            mask = key if isinstance(key, int) else mask_of(key)
             if mask < 0 or mask >= (1 << n):
                 raise DomainError(f"subset key {key!r} is not a subset of 1..{n}")
+            if values[mask] is not None:
+                raise DomainError(f"duplicate subset key {key!r}")
             values[mask] = float(val)
         missing = [m for m, v in enumerate(values) if v is None]
         if missing:

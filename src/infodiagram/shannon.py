@@ -116,17 +116,27 @@ def _check_same_space(p: Dist, x: RandomVariable) -> None:
         raise DomainError(f"variable on {len(x)} points does not match distribution on {len(p)}")
 
 
+def _codes(keys, limit=None):
+    """Distinct keys in first-occurrence order and the integer code of each key.
+
+    With ``limit``, coding stops at the first key beyond ``limit`` distinct
+    ones, so a caller can refuse an oversized space without reading on.
+    """
+    index = {}
+    codes = []
+    for key in keys:
+        code = index.setdefault(key, len(index))
+        if code == limit:
+            break
+        codes.append(code)
+    return tuple(index), np.array(codes, dtype=np.intp)
+
+
 def marginal(p: Dist, x: RandomVariable) -> Dist:
     """Pushforward of ``p`` along ``x``: mass per label, first-occurrence order."""
     _check_same_space(p, x)
-    order = []
-    mass = {}
-    for i, lab in enumerate(x.labels):
-        if lab not in mass:
-            mass[lab] = 0.0
-            order.append(lab)
-        mass[lab] += float(p.masses[i])
-    return Dist(masses=np.array([mass[lab] for lab in order]), points=tuple(order))
+    labels, codes = _codes(x.labels)
+    return Dist(masses=np.bincount(codes, weights=p.masses, minlength=len(labels)), points=labels)
 
 
 def condition(p: Dist, x: RandomVariable, value) -> Dist:
@@ -192,8 +202,7 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
     selected = [g for i, g in enumerate(gens) if mask & (1 << i)]
     if not selected:
         return constant_variable(size)
-    labels = tuple(tuple(g.labels[i] for g in selected) for i in range(size))
-    return RandomVariable(labels=labels)
+    return RandomVariable(labels=tuple(zip(*(g.labels for g in selected))))
 
 
 def equivalent(x: RandomVariable, y: RandomVariable) -> bool:
@@ -280,47 +289,60 @@ def shannon_instance(p: Dist, gens, base: str = "nats") -> ChainRuleInstance:
     )
 
 
+def _weight(raw, where: str) -> float:
+    """A sample weight as a float; ``where`` names the row in the message."""
+    try:
+        w = float(raw)
+    except (TypeError, ValueError):
+        raise IngestionError(f"{where}: weight {raw!r} is not a number") from None
+    if not math.isfinite(w) or w < 0:
+        raise IngestionError(f"{where}: weight {w!r} must be finite and >= 0")
+    return w
+
+
+def _sample_space(tables):
+    """Distinct rows of one or more ``(rows, weights, where)`` tables and their masses.
+
+    The sample space is the distinct rows of all tables in first-occurrence
+    order, at most ``MAX_SAMPLE_POINTS`` of them; each table's masses are
+    its weighted counts normalized by their ``math.fsum``.  ``where``
+    prefixes a table's zero-total message.  Returns ``(points, masses)``
+    with one mass array per table.
+    """
+    points, codes = _codes((row for rows, _, _ in tables for row in rows), MAX_SAMPLE_POINTS)
+    if len(points) > MAX_SAMPLE_POINTS:
+        raise IngestionError(f"more than {MAX_SAMPLE_POINTS} distinct sample points")
+    masses = []
+    start = 0
+    for rows, weights, where in tables:
+        stop = start + len(rows)
+        acc = np.bincount(codes[start:stop], weights=weights, minlength=len(points))
+        total = math.fsum(acc)
+        if total <= 0:
+            raise IngestionError(f"{where}total weight must be positive")
+        masses.append(acc / total)
+        start = stop
+    return points, masses
+
+
 def empirical_from_rows(rows, weights=None):
     """Empirical distribution and one variable per column from a table of rows.
 
     The sample space is the distinct rows in first-occurrence order; masses
     are normalized (weighted) counts.  Returns ``(dist, variables)``.
     """
-    rows = list(rows)
+    rows = [tuple(row) for row in rows]
     if not rows:
         raise IngestionError("no rows")
     width = len(rows[0])
-    if weights is None:
-        weights = [1.0] * len(rows)
-    else:
-        weights = list(weights)
-        if len(weights) != len(rows):
-            raise IngestionError(f"{len(weights)} weights for {len(rows)} rows")
-
-    mass: dict[tuple, float] = {}
-    order: list[tuple] = []
+    weights = [1.0] * len(rows) if weights is None else list(weights)
+    if len(weights) != len(rows):
+        raise IngestionError(f"{len(weights)} weights for {len(rows)} rows")
     for i, row in enumerate(rows):
-        row = tuple(row)
         if len(row) != width:
             raise IngestionError(f"row {i}: expected {width} columns, got {len(row)}")
-        try:
-            w = float(weights[i])
-        except (TypeError, ValueError):
-            raise IngestionError(f"row {i}: weight {weights[i]!r} is not a number") from None
-        if not math.isfinite(w) or w < 0:
-            raise IngestionError(f"row {i}: weight {w!r} must be finite and >= 0")
-        if row not in mass:
-            if len(order) >= MAX_SAMPLE_POINTS:
-                raise IngestionError(f"more than {MAX_SAMPLE_POINTS} distinct sample points")
-            mass[row] = 0.0
-            order.append(row)
-        mass[row] += w
+        weights[i] = _weight(weights[i], f"row {i}")
 
-    total = math.fsum(mass.values())
-    if total <= 0:
-        raise IngestionError("total weight must be positive")
-    dist = Dist(masses=np.array([mass[row] / total for row in order]), points=tuple(order))
-    variables = [
-        RandomVariable(labels=tuple(row[j] for row in order)) for j in range(width)
-    ]
-    return dist, variables
+    points, (masses,) = _sample_space([(rows, weights, "")])
+    variables = [RandomVariable(labels=column) for column in zip(*points)]
+    return Dist(masses=masses, points=points), variables

@@ -163,15 +163,18 @@ def test_pair_join_and_absolute_continuity(tmp_path, capsys):
     assert code == 2  # needs both P and Q
 
 
-def test_pair_sample_point_cap(tmp_path, capsys, monkeypatch):
-    # the union of both tables' distinct rows is the sample space; it is capped
-    monkeypatch.setattr("infodiagram.cli.MAX_SAMPLE_POINTS", 3)
+@pytest.mark.parametrize("kind", ["kl", "shannon"])
+def test_pair_sample_point_cap(tmp_path, capsys, monkeypatch, kind):
+    # the distinct rows of the table, or the union of both tables' distinct
+    # rows for a pair, are the sample space; it is capped
+    monkeypatch.setattr("infodiagram.shannon.MAX_SAMPLE_POINTS", 3)
     p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n")
     q3_csv = write(tmp_path, "q3.csv", "A,B\n0,0\n0,1\n1,0\n")
     q4_csv = write(tmp_path, "q4.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
-    code, _, _ = run(capsys, "diagram", p_csv, q3_csv, "--instance", "kl")
+    first = [p_csv] if kind == "kl" else []
+    code, _, _ = run(capsys, "diagram", *first, q3_csv, "--instance", kind)
     assert code == 0
-    code, out, err = run(capsys, "diagram", p_csv, q4_csv, "--instance", "kl")
+    code, out, err = run(capsys, "diagram", *first, q4_csv, "--instance", kind)
     assert code == 2
     assert out == ""
     assert "more than 3 distinct sample points" in err
@@ -226,6 +229,15 @@ def test_subset_table_cap_checked_before_allocation(tmp_path, capsys, monkeypatc
     code, _, err = run(capsys, "verify", sf_path, "--instance", "setfun")
     assert code == 3
     assert "cap" in err
+
+
+def test_subset_table_rejects_boolean_n(tmp_path, capsys):
+    # JSON true is not a generator count, although Python's bool is an int
+    sf_path = write(tmp_path, "sf.json", '{"n": true, "values": {"": 0, "1": 1}}')
+    code, out, err = run(capsys, "diagram", sf_path, "--instance", "setfun")
+    assert code == 2
+    assert out == ""
+    assert "'n' must be a positive integer" in err
 
 
 def test_verify_advantage_table(tmp_path, capsys):

@@ -505,6 +505,13 @@ def test_totals_untouched_beyond_the_cap(monkeypatch):
         ChainRuleInstance(n=4, totals=Untouchable())
 
 
+def test_boolean_n_is_refused():
+    with pytest.raises(DomainError, match="n=True"):
+        ChainRuleInstance(n=True, totals=(0.0, 1.0))
+    with pytest.raises(DomainError, match="n=True"):
+        SetFunction(n=True, values=(0.0, 1.0))
+
+
 def test_default_conditional_is_the_totals_difference():
     totals = (0.0, 0.5, 0.75, 1.0)
     inst = ChainRuleInstance(n=2, totals=totals)

@@ -68,6 +68,13 @@ def test_distpair_absolute_continuity():
     DistPair(p=q, q=Dist(masses=np.full(3, 1 / 3), points=("a", "b", "c")))
 
 
+def test_distpair_names_the_first_offending_point():
+    p = Dist(masses=np.full(4, 0.25), points=("a", "b", "c", "d"))
+    q = Dist(masses=np.array([0.0, 1.0, 0.0, 0.0]), points=("a", "b", "c", "d"))
+    with pytest.raises(DomainError, match="at sample point 'a':"):
+        DistPair(p=p, q=q)
+
+
 def test_distpair_space_mismatch():
     with pytest.raises(DomainError):
         DistPair(p=Dist(masses=np.array([1.0])), q=Dist(masses=np.array([0.5, 0.5])))

@@ -63,6 +63,17 @@ def test_setfunction_validation(monkeypatch):
         SetFunction.from_mapping(4, {(): 0.0, (1,): 1.0})
 
 
+def test_from_mapping_rejects_bad_and_repeated_keys():
+    # index 0 names no generator: a DomainError, not a bare negative-shift ValueError
+    with pytest.raises(DomainError, match="1-based"):
+        SetFunction.from_mapping(2, {(): 0.0, (0,): 1.0, (2,): 1.0, (1, 2): 2.0})
+    # (1, 2) and (2, 1) are one subset; the second key is refused, not kept
+    with pytest.raises(DomainError, match=r"duplicate subset key \(2, 1\)"):
+        SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 2.0, (2, 1): 3.0})
+    with pytest.raises(DomainError, match="duplicate subset key 3"):
+        SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 2.0, 3: 3.0})
+
+
 # ---------------------------------------------------------------------------
 # arbitrary-function instances
 

@@ -25,6 +25,7 @@ from infodiagram import (
     refines,
     shannon_instance,
 )
+from infodiagram.shannon import _codes
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -251,6 +252,36 @@ def test_shannon_instance_small_cases(xor_joint):
     dist, gens = xor_joint
     inst_xor = shannon_instance(dist, gens, "bits")
     assert interaction(inst_xor, (1, 2, 4), 0) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_marginal_matches_dict_accumulation_bit_for_bit():
+    # an independent route: one dict, masses added in sample order
+    rng = np.random.default_rng(20260)
+    for _ in range(60):
+        size = int(rng.integers(1, 3001))
+        masses = rng.uniform(0.0, 1.0, size)
+        masses[rng.random(size) < 0.3] = 0.0
+        masses[int(rng.integers(size))] = 1.0
+        p = Dist(masses=masses / masses.sum())
+        arity = int(rng.integers(1, size + 1))
+        x = RandomVariable(labels=tuple(("v", int(v)) for v in rng.integers(0, arity, size)))
+        expected = {}
+        for label, mass in zip(x.labels, p.masses.tolist()):
+            expected[label] = expected.get(label, 0.0) + mass
+        pushed = marginal(p, x)
+        assert pushed.points == tuple(expected)
+        assert pushed.masses.tolist() == list(expected.values())
+
+
+def test_sample_point_coding_stops_at_the_first_point_past_the_cap():
+    def rows():
+        yield from [(0,), (1,), (0,), (2,)]
+        raise AssertionError("rows read past the first point beyond the cap")
+
+    points, codes = _codes(rows(), limit=2)
+    assert points == ((0,), (1,), (2,))
+    assert codes.tolist() == [0, 1, 0]
+    assert _codes(["b", "a", "b"])[1].tolist() == [0, 1, 0]
 
 
 def test_empirical_from_rows_xor(xor_joint):
