@@ -150,7 +150,10 @@ def _read_subset_table(path: str, field_name: str):
         raise IngestionError(f"{path}: '{field_name}' must map subset keys to numbers")
     values = {}
     for key, val in table.items():
-        mask = _parse_subset_key(str(key), n)
+        try:
+            mask = _parse_subset_key(str(key), n)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: {exc}") from None
         if mask in values:
             raise IngestionError(f"{path}: duplicate subset key {key!r}")
         try:
@@ -241,8 +244,19 @@ def _metadata(config: argparse.Namespace, inst: ChainRuleInstance, names) -> dic
     return meta
 
 
+def _residual_row(r) -> dict:
+    """One residual as a document row, masks written as 1-based index lists."""
+    return {
+        "q": r.q,
+        "L": [list(indices_of(l)) for l in r.l_masks],
+        "J": list(indices_of(r.j_mask)),
+        "lhs": r.lhs,
+        "rhs": r.rhs,
+        "gap": r.gap,
+    }
+
+
 def _verification_summary(report) -> dict:
-    worst = report.worst()
     return {
         "mode": report.mode,
         "checks": len(report.residuals),
@@ -250,14 +264,7 @@ def _verification_summary(report) -> dict:
         "chain_residual": report.chain_residual,
         "tolerance": report.tolerance,
         "passed": report.passed,
-        "worst": {
-            "q": worst.q,
-            "L": [list(indices_of(l)) for l in worst.l_masks],
-            "J": list(indices_of(worst.j_mask)),
-            "lhs": worst.lhs,
-            "rhs": worst.rhs,
-            "gap": worst.gap,
-        },
+        "worst": _residual_row(report.worst()),
     }
 
 
@@ -266,11 +273,10 @@ def cmd_diagram(config: argparse.Namespace) -> dict:
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
     if not report.passed:
-        worst = report.worst()
+        worst = _residual_row(report.worst())
         raise VerificationError(
             f"diagram identity check failed: max residual {report.max_residual:.3e} "
-            f"> tolerance {config.tol:.1e} at q={worst.q}, "
-            f"L={[list(indices_of(l)) for l in worst.l_masks]}, J={list(indices_of(worst.j_mask))}"
+            f"> tolerance {config.tol:.1e} at q={worst['q']}, L={worst['L']}, J={worst['J']}"
         )
     atom_entries = [
         {"subset": list(indices_of(a)), "eta": value} for a, value in sorted(report.atom_values.items())
@@ -303,17 +309,7 @@ def cmd_verify(config: argparse.Namespace):
     doc = {
         "metadata": _metadata(config, inst, names),
         "summary": _verification_summary(report),
-        "residuals": [
-            {
-                "q": r.q,
-                "L": [list(indices_of(l)) for l in r.l_masks],
-                "J": list(indices_of(r.j_mask)),
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "gap": r.gap,
-            }
-            for r in report.residuals
-        ],
+        "residuals": [_residual_row(r) for r in report.residuals],
     }
     return doc, (EXIT_OK if report.passed else EXIT_VERIFY)
 

@@ -54,6 +54,7 @@ making each value deterministic regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -66,6 +67,7 @@ DEFAULT_MAX_N = 12
 VERIFY_EXHAUSTIVE_MAX_N = 5
 ORACLE_MAX_N = 5
 DEFAULT_TOL = 1e-9
+VERIFY_MAX_TERMS = 2 ** 25
 
 
 class DomainError(ValueError):
@@ -551,6 +553,14 @@ class DiagramReport:
         return max(self.residuals, key=lambda r: r.gap)
 
 
+def _sweep_checks(size: int, q_max: int, mode: str, samples: int) -> int:
+    """Identity checks of a sweep: every sorted q-tuple and conditioning
+    element in exhaustive mode, ``samples`` in sampled mode."""
+    if mode == "sampled":
+        return samples
+    return sum(math.comb(size + q - 1, q) for q in range(1, q_max + 1)) * size
+
+
 def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
               mode: str = "auto", samples: int = 1000, seed: int = 0,
               check_chain: bool = True) -> DiagramReport:
@@ -564,7 +574,9 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     Exhaustive up to n = 5 (argument tuples are swept as sorted
     multisets; the interaction canonicalizes order, so permutations are
     float-identical); ``samples`` (at least 1) checks drawn with a fixed
-    seed beyond that.
+    seed beyond that.  A sweep whose checks times ``2**q_max`` exceed
+    ``VERIFY_MAX_TERMS`` is refused with :class:`DomainError` before any
+    work.
 
     If the instance's conditional disagrees with its totals beyond
     ``tol``, a :class:`VerificationError` naming the violating (Y, Z)
@@ -582,6 +594,15 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
         raise DomainError(f"exhaustive verification is capped at n={VERIFY_EXHAUSTIVE_MAX_N}, got n={n}")
     if mode == "sampled" and samples < 1:
         raise DomainError(f"sampled verification needs samples >= 1, got {samples}")
+    size = 1 << n
+    # a degree-q check reads at most 2**q terms; checks >= 1, so a q_max at
+    # or past the cap's bit length is refused without counting the checks
+    if (q_max >= VERIFY_MAX_TERMS.bit_length()
+            or _sweep_checks(size, q_max, mode, samples) * 2 ** q_max > VERIFY_MAX_TERMS):
+        raise DomainError(
+            f"verification sweep at q_max={q_max} exceeds the cap of {VERIFY_MAX_TERMS} terms "
+            "(checks * 2**q_max)"
+        )
 
     chain_samples = None if mode == "exhaustive" else samples
     chain_gap = None
@@ -596,7 +617,6 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
             )
 
     values = atom_table(inst)
-    size = 1 << n
     full = size - 1
     zeta = _subset_zeta(values, n)
 

@@ -20,6 +20,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ChainRuleInstance, DomainError, _check_n, indices_of, mask_of
 from .shannon import Dist, RandomVariable, _check_same_space, _lattice_totals, entropy, joint, joint_of
 
@@ -88,13 +90,27 @@ def is_submodular(r: SetFunction, tol: float = SUBMODULAR_TOL):
         raise DomainError(f"exhaustive submodularity check capped at n={SUBMODULAR_MAX_N}")
     if abs(r(0)) > tol:
         return False, (0, 0)
-    size = 1 << r.n
-    for a in range(size):
-        for b in range(size):
-            if (a & b) == a and r(a) > r(b) + tol:  # a subset of b
-                return False, (a, b)
-            if r(a) + r(b) < r(a | b) + r(a & b) - tol:
-                return False, (a, b)
+    return _first_violation(
+        r.values,
+        lambda v, a, b: (((a & b) == a) & (v[a] > v[b] + tol))  # a subset of b
+        | (v[a] + v[b] < v[a | b] + v[a & b] - tol),
+    )
+
+
+def _first_violation(values, violated):
+    """``(True, None)``, or ``(False, (a, b))`` for the first violating pair.
+
+    Pairs are taken in ascending ``a``, then ascending ``b``, the order of
+    the exhaustive double loop.  ``violated(v, a, b)`` sees ``values`` as
+    an array ``v``, one mask ``a`` and every mask ``b`` at once, so each
+    ``a`` is one numpy pass; the scan is still O(4**n).
+    """
+    v = np.array(values)
+    b = np.arange(v.size)
+    for a in range(v.size):
+        hits = np.flatnonzero(violated(v, a, b))
+        if hits.size:
+            return False, (a, int(hits[0]))
     return True, None
 
 
@@ -130,12 +146,7 @@ class HypothesisEvaluator:
     def is_monotone(self, tol: float = SUBMODULAR_TOL):
         """Nonincreasing under feature-set inclusion (holds when larger
         feature sets keep access to all smaller-set hypotheses)."""
-        size = 1 << self.n
-        for a in range(size):
-            for b in range(size):
-                if (a & b) == a and self(b) > self(a) + tol:
-                    return False, (a, b)
-        return True, None
+        return _first_violation(self.errors, lambda v, a, b: ((a & b) == a) & (v[b] > v[a] + tol))
 
 
 def advantage_instance(e: HypothesisEvaluator) -> ChainRuleInstance:

@@ -15,6 +15,7 @@ for binary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,7 +78,13 @@ class Dist:
 
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """A labeling of sample points; its partition is what carries information."""
+    """A labeling of sample points; its partition is what carries information.
+
+    The partition is coded once, on first use: ``_coded`` is the distinct
+    labels in first-occurrence order and the code of each point, and
+    :meth:`values`, :func:`marginal`, :func:`condition` and :func:`refines`
+    all read it.
+    """
 
     labels: tuple
     name: str = ""
@@ -90,13 +97,13 @@ class RandomVariable:
     def __len__(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def _coded(self):
+        return _codes(self.labels)
+
     def values(self) -> tuple:
         """Distinct labels in first-occurrence order."""
-        seen = {}
-        for lab in self.labels:
-            if lab not in seen:
-                seen[lab] = None
-        return tuple(seen)
+        return self._coded[0]
 
     def partition(self) -> frozenset:
         """The induced partition of the sample space as index cells."""
@@ -135,7 +142,7 @@ def _codes(keys, limit=None):
 def marginal(p: Dist, x: RandomVariable) -> Dist:
     """Pushforward of ``p`` along ``x``: mass per label, first-occurrence order."""
     _check_same_space(p, x)
-    labels, codes = _codes(x.labels)
+    labels, codes = x._coded
     return Dist(masses=np.bincount(codes, weights=p.masses, minlength=len(labels)), points=labels)
 
 
@@ -146,9 +153,11 @@ def condition(p: Dist, x: RandomVariable, value) -> Dist:
     convention keeps averaged sums free of case splits.
     """
     _check_same_space(p, x)
-    if value not in x.labels:
-        raise DomainError(f"{value!r} is not a label of the variable")
-    block = np.array([lab == value for lab in x.labels])
+    labels, codes = x._coded
+    try:
+        block = codes == labels.index(value)
+    except ValueError:
+        raise DomainError(f"{value!r} is not a label of the variable") from None
     px = float(p.masses[block].sum())
     if px == 0.0:
         return p
@@ -216,11 +225,13 @@ def refines(x: RandomVariable, y: RandomVariable) -> bool:
     """True iff ``y`` is a function of ``x`` (x's partition refines y's)."""
     if len(x) != len(y):
         raise DomainError(f"sample-space size mismatch: {len(x)} vs {len(y)}")
-    image = {}
-    for lx, ly in zip(x.labels, y.labels):
-        if image.setdefault(lx, ly) != ly:
-            return False
-    return True
+    labels, cx = x._coded
+    cy = y._coded[1]
+    # y is a function of x iff every x-block carries one y-code; any point
+    # of a block can stand for it
+    image = np.empty(len(labels), dtype=np.intp)
+    image[cx] = cy
+    return bool(np.array_equal(image[cx], cy))
 
 
 @dataclass(frozen=True)

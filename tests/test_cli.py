@@ -118,6 +118,12 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
     code, _, err = run(capsys, "diagram", missing, "--instance", "shannon")
     assert code == 2
 
+    for key, message in (("4", "is out of range 1..3"), ("1;2", "is not a list of indices")):
+        sf_path = write(tmp_path, "sf.json", json.dumps({"n": 3, "values": {"": 0.0, key: 1.0}}))
+        code, _, err = run(capsys, "diagram", sf_path, "--instance", "setfun")
+        assert code == 2
+        assert f"ingestion error: {sf_path}: subset key {key!r} {message}" in err
+
 
 @pytest.mark.parametrize("bad", ["-1", "nan", "heavy"])
 def test_bad_weight_names_file_and_row(tmp_path, capsys, bad):
@@ -228,6 +234,14 @@ def test_subset_table_cap_checked_before_allocation(tmp_path, capsys, monkeypatc
     sf_path = write(tmp_path, "sf.json", json.dumps(sf))
     code, _, err = run(capsys, "verify", sf_path, "--instance", "setfun")
     assert code == 3
+    assert "cap" in err
+
+
+def test_oversized_sweep_exits_before_any_work(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", write(tmp_path, "xor.csv", XOR_CSV),
+                         "--instance", "shannon", "--qmax", "16")
+    assert code == 3
+    assert out == ""
     assert "cap" in err
 
 

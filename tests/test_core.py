@@ -460,6 +460,33 @@ def test_verify_rejects_bad_qmax():
         verify_hu(random_r1(rng, 2), q_max=0)
 
 
+def test_verify_refuses_an_oversized_sweep_before_any_work():
+    class Reached(Exception):
+        pass
+
+    def untouchable(y, z):
+        raise Reached  # the sweep got past its argument checks
+
+    inst = ChainRuleInstance(n=5, totals=(0.0,) * 32, k1=untouchable)
+    # the cap is 2**25 terms, checks * 2**q_max; n = 5 exhaustive makes
+    # 30,158,848 at q_max = 4 and 446,357,504 at q_max = 5
+    cases = (
+        ({"q_max": 4}, True),
+        ({"q_max": 5}, False),
+        ({"mode": "sampled", "samples": 1024, "q_max": 15}, True),
+        ({"mode": "sampled", "samples": 1025, "q_max": 15}, False),
+        ({"mode": "sampled", "samples": 1000, "q_max": 16}, False),
+        ({"mode": "sampled", "samples": 1, "q_max": 10 ** 9}, False),
+    )
+    for kwargs, admitted in cases:
+        if admitted:
+            with pytest.raises(Reached):
+                verify_hu(inst, **kwargs)
+        else:
+            with pytest.raises(DomainError, match="cap"):
+                verify_hu(inst, **kwargs)
+
+
 def test_verify_rejects_empty_sample_before_any_work():
     def untouchable(y, z):
         raise AssertionError("k1 evaluated before the argument check")

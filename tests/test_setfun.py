@@ -130,6 +130,46 @@ def test_is_submodular_violation_witnesses():
     assert (a & b) == a  # a monotonicity witness is a nested pair
 
 
+def _first_pair_by_double_loop(size, violated):
+    for a in range(size):
+        for b in range(size):
+            if violated(a, b):
+                return False, (a, b)
+    return True, None
+
+
+def test_lattice_scans_match_the_double_loop():
+    # verdicts and witnesses of the exhaustive loop, near-modular functions included
+    rng = np.random.default_rng(63)
+    tol = 1e-12
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        size = 1 << n
+        kind = rng.integers(3)
+        if kind == 0:
+            weights = rng.uniform(0.0, 1.0, n)
+            v = [sum(weights[i] for i in range(n) if m >> i & 1) for m in range(size)]
+            v = [x * (1.0 + 1e-13 * rng.standard_normal()) for x in v]
+        elif kind == 1:
+            v = rng.uniform(0.0, 1.0, size).tolist()
+        else:
+            v = np.sqrt(rng.uniform(0.0, 1.0, size).cumsum()).tolist()
+        v[0] = 0.0
+        r = SetFunction(n=n, values=tuple(v))
+        rv = r.values
+        assert is_submodular(r, tol) == _first_pair_by_double_loop(
+            size,
+            lambda a, b: ((a & b) == a and rv[a] > rv[b] + tol)
+            or rv[a] + rv[b] < rv[a | b] + rv[a & b] - tol,
+        )
+        # complements reverse inclusion, so increasing values give monotone errors
+        e = HypothesisEvaluator(n=n, errors=tuple(v[::-1]))
+        ev = e.errors
+        assert e.is_monotone(tol) == _first_pair_by_double_loop(
+            size, lambda a, b: (a & b) == a and ev[b] > ev[a] + tol
+        )
+
+
 def test_is_submodular_cap(monkeypatch):
     monkeypatch.setenv("INFODIAGRAM_MAX_N", "13")
     big = SetFunction(n=13, values=(0.0,) * (1 << 13))

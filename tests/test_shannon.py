@@ -24,6 +24,7 @@ from infodiagram import (
     marginal,
     refines,
     shannon_instance,
+    tsallis_instance,
 )
 from infodiagram.shannon import _codes
 
@@ -271,6 +272,86 @@ def test_marginal_matches_dict_accumulation_bit_for_bit():
         pushed = marginal(p, x)
         assert pushed.points == tuple(expected)
         assert pushed.masses.tolist() == list(expected.values())
+
+
+def test_each_variable_is_coded_once(monkeypatch):
+    rng = np.random.default_rng(20261)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(60, 3)).tolist()])
+    inst = tsallis_instance(dist, gens, 0.7)
+    coded = []
+
+    def counting(keys, limit=None):
+        coded.append(keys)
+        return _codes(keys, limit)
+
+    monkeypatch.setattr("infodiagram.shannon._codes", counting)
+    first = inst.k1(0b010, 0b100)
+    assert 0 < len(coded) <= 2  # the two variables the call touches
+    del coded[:]
+    assert inst.k1(0b010, 0b100) == first
+    assert coded == []
+
+
+def _label_draw(rng, kind, arity, size):
+    raw = rng.integers(0, arity, size).tolist()
+    if kind == "int":
+        return tuple(raw)
+    if kind == "str":
+        return tuple(f"v{v}" for v in raw)
+    return tuple((v % 2, f"t{v}") for v in raw)
+
+
+def test_coded_partition_matches_label_scans_bit_for_bit():
+    # independent routes: a dict of masses, an equality scan per label and a
+    # dict image, each walking the labels in sample order
+    rng = np.random.default_rng(20262)
+    kinds = ("int", "str", "tuple")
+    for trial in range(80):
+        size = int(rng.integers(1, 400))
+        masses = rng.uniform(0.0, 1.0, size)
+        masses[rng.random(size) < 0.3] = 0.0
+        masses[int(rng.integers(size))] = 1.0
+        p = Dist(masses=masses / masses.sum())
+        x = RandomVariable(labels=_label_draw(rng, kinds[trial % 3], int(rng.integers(1, 12)), size))
+        y = RandomVariable(labels=_label_draw(rng, kinds[(trial // 3) % 3], int(rng.integers(1, 12)), size))
+
+        expected = {}
+        for label, mass in zip(x.labels, p.masses.tolist()):
+            expected[label] = expected.get(label, 0.0) + mass
+        assert x.values() == tuple(expected)
+        pushed = marginal(p, x)
+        assert pushed.points == tuple(expected)
+        assert pushed.masses.tolist() == list(expected.values())
+
+        for value in expected:
+            block = np.array([lab == value for lab in x.labels])
+            px = float(p.masses[block].sum())
+            got = condition(p, x, value)
+            if px == 0.0:
+                assert got is p
+            else:
+                assert got.masses.tolist() == (np.where(block, p.masses, 0.0) / px).tolist()
+
+        coarse = RandomVariable(labels=tuple(str(lab)[:2] for lab in x.labels))
+        for a, b in ((x, y), (y, x), (x, coarse), (coarse, x), (x, x)):
+            image, function = {}, True
+            for la, lb in zip(a.labels, b.labels):
+                if image.setdefault(la, lb) != lb:
+                    function = False
+                    break
+            assert refines(a, b) is function
+
+
+def test_condition_agrees_with_marginal_on_a_self_unequal_label():
+    nan = float("nan")
+    x = RandomVariable(labels=(nan, nan, 1.0, 1, True))
+    p = Dist(masses=np.full(5, 0.2))
+    assert marginal(p, x).masses[0] == 0.4
+    assert condition(p, x, nan).masses.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
+    assert condition(p, x, 1).masses.tolist() == [0.0, 0.0, 1 / 3, 1 / 3, 1 / 3]
+    assert refines(x, x)
+    with pytest.raises(DomainError, match="is not a label"):
+        condition(p, x, float("nan"))  # an equal-looking but distinct NaN object
 
 
 def test_sample_point_coding_stops_at_the_first_point_past_the_cap():
