@@ -156,10 +156,10 @@ def _read_subset_table(path: str, field_name: str):
             raise IngestionError(f"{path}: {exc}") from None
         if mask in values:
             raise IngestionError(f"{path}: duplicate subset key {key!r}")
-        try:
-            values[mask] = float(val)
-        except (TypeError, ValueError):
-            raise IngestionError(f"{path}: value for subset {key!r} is not a number") from None
+        # a JSON number, not a boolean or a numeric string; the set function checks its range
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise IngestionError(f"{path}: value for subset {key!r} is not a number")
+        values[mask] = val
     missing = [m for m in range(1 << n) if m not in values]
     if missing:
         raise IngestionError(
@@ -288,7 +288,7 @@ def cmd_diagram(config: argparse.Namespace) -> dict:
         f1 = inst.total(k)
         # atoms under the circles of K: all atoms minus those inside full ^ K
         cell_sum = zeta[full] - zeta[full ^ k]
-        if abs(f1 - cell_sum) > config.tol:
+        if not abs(f1 - cell_sum) <= config.tol:  # a NaN gap fails too
             raise VerificationError(
                 f"total consistency check failed for K={list(indices_of(k))}: "
                 f"F1={f1!r} vs atom sum {cell_sum!r}"

@@ -101,6 +101,24 @@ def _check_n(n: int) -> None:
         )
 
 
+def _check_vector(n: int, values, what: str) -> tuple:
+    """``values`` as a tuple of 2**n floats, one per subset mask.
+
+    The cap on ``n`` is checked first, so an oversized vector is never read;
+    ``what`` names the entries in the messages.
+    """
+    _check_n(n)
+    vals = []
+    for v in values:
+        try:
+            vals.append(float(v))
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{what} must be real numbers, got {v!r}") from None
+    if len(vals) != 1 << n:
+        raise DomainError(f"need {1 << n} {what} for n={n}, got {len(vals)}")
+    return tuple(vals)
+
+
 def _check_element(mask: int, n: int, what: str = "element") -> None:
     if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
         raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
@@ -232,10 +250,7 @@ class ChainRuleInstance:
     _k1_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        _check_n(self.n)  # before the totals are touched
-        self.totals = tuple(float(t) for t in self.totals)
-        if len(self.totals) != 1 << self.n:
-            raise DomainError(f"need {1 << self.n} totals for n={self.n}, got {len(self.totals)}")
+        self.totals = _check_vector(self.n, self.totals, "totals")
         if self.k1 is None:
             totals = self.totals
             self.k1 = lambda y_mask, z_mask: totals[y_mask | z_mask] - totals[z_mask]
@@ -434,7 +449,7 @@ def mobius_oracle(inst: ChainRuleInstance, tol: float = DEFAULT_TOL) -> dict[int
         raise VerificationError(f"internal error: atom system reported singular: {exc}") from exc
     residual = float(np.max(np.abs(a @ x - b))) if m else 0.0
     scale = max(1.0, float(np.max(np.abs(b)))) if m else 1.0
-    if residual > tol * scale:
+    if not residual <= tol * scale:
         raise VerificationError(
             f"internal error: atom system residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
@@ -449,7 +464,7 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     ``F1`` is the totals vector, exhaustively over all element pairs, or
     over ``samples`` random pairs when given.  Returns ``(max_gap,
     violations)`` where violations is the list of ``(y, z, gap)`` beyond
-    ``tol``.
+    ``tol``; a NaN gap is a violation, and the first one is ``max_gap``.
     """
     n = inst.n
     size = 1 << n
@@ -465,14 +480,14 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
         if z not in seen_neutral:
             seen_neutral.add(z)
             gap = abs(inst.k1c(0, z))
-            if gap > max_gap:
+            if _worse(gap, max_gap):
                 max_gap = gap
-            if gap > tol:
+            if not gap <= tol:
                 violations.append((0, z, gap))
         gap = abs(inst.total(y | z) - inst.total(y) - inst.k1c(z, y))
-        if gap > max_gap:
+        if _worse(gap, max_gap):
             max_gap = gap
-        if gap > tol:
+        if not gap <= tol:
             violations.append((y, z, gap))
     return max_gap, violations
 
@@ -511,11 +526,16 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
              "two-argument form vs action"),
         )
         for gap, name in checks:
-            if gap > worst[0]:
+            if _worse(gap, worst[0]):
                 worst = (gap, name)
-    if worst[0] > tol:
+    if not worst[0] <= tol:
         raise VerificationError(f"action axiom '{worst[1]}' violated by {worst[0]:.3e} (tol {tol:.1e})")
     return worst[0]
+
+
+def _worse(gap: float, worst: float) -> bool:
+    """Whether ``gap`` replaces ``worst``: it is larger, or the first NaN."""
+    return gap > worst or (math.isnan(gap) and not math.isnan(worst))
 
 
 class Residual(NamedTuple):
@@ -527,6 +547,14 @@ class Residual(NamedTuple):
     lhs: float
     rhs: float
     gap: float
+
+
+def _worst(residuals) -> Residual:
+    """The first residual with a NaN gap, else the first with the largest gap."""
+    for r in residuals:
+        if math.isnan(r.gap):
+            return r
+    return max(residuals, key=lambda r: r.gap)
 
 
 @dataclass
@@ -550,7 +578,7 @@ class DiagramReport:
         return self.max_residual <= self.tolerance
 
     def worst(self) -> Residual:
-        return max(self.residuals, key=lambda r: r.gap)
+        return _worst(self.residuals)
 
 
 def _sweep_checks(size: int, q_max: int, mode: str, samples: int) -> int:
@@ -645,11 +673,10 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
             j = rng.randrange(size)
             residuals.append(check(q, l_tuple, _region_terms(l_tuple), j))
 
-    max_residual = max(r.gap for r in residuals)
     return DiagramReport(
         atom_values=values,
         residuals=residuals,
-        max_residual=max_residual,
+        max_residual=_worst(residuals).gap,  # NaN if any gap is, which fails the report
         tolerance=tol,
         mode=mode,
         chain_residual=chain_gap,

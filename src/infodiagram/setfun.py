@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainRuleInstance, DomainError, _check_n, indices_of, mask_of
+from .core import ChainRuleInstance, DomainError, _check_n, _check_vector, indices_of, mask_of
 from .shannon import Dist, RandomVariable, _check_same_space, _lattice_totals, entropy, joint, joint_of
 
 SUBMODULAR_MAX_N = 12
@@ -37,10 +37,7 @@ class SetFunction:
     values: tuple
 
     def __post_init__(self):
-        _check_n(self.n)
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != 1 << self.n:
-            raise DomainError(f"need {1 << self.n} values for n={self.n}, got {len(vals)}")
+        vals = _check_vector(self.n, self.values, "values")
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("set-function values must be finite")
         object.__setattr__(self, "values", vals)
@@ -53,19 +50,19 @@ class SetFunction:
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "SetFunction":
         """Build from a mapping keyed by bitmask or by iterable of 1-based indices."""
-        _check_n(n)  # before allocating 2**n slots
-        values = [None] * (1 << n)
+        _check_n(n)  # before the 2**n subsets are walked
+        values = {}
         for key, val in mapping.items():
             mask = key if isinstance(key, int) else mask_of(key)
             if mask < 0 or mask >= (1 << n):
                 raise DomainError(f"subset key {key!r} is not a subset of 1..{n}")
-            if values[mask] is not None:
+            if mask in values:
                 raise DomainError(f"duplicate subset key {key!r}")
-            values[mask] = float(val)
-        missing = [m for m, v in enumerate(values) if v is None]
+            values[mask] = val
+        missing = [m for m in range(1 << n) if m not in values]
         if missing:
             raise DomainError(f"set function is not total: missing subset {indices_of(missing[0])}")
-        return cls(n=n, values=tuple(values))
+        return cls(n=n, values=tuple(values[m] for m in range(1 << n)))
 
 
 def entropy_setfunction(p: Dist, gens, base: str = "nats") -> SetFunction:
@@ -130,10 +127,7 @@ class HypothesisEvaluator:
     errors: tuple
 
     def __post_init__(self):
-        _check_n(self.n)
-        errs = tuple(float(e) for e in self.errors)
-        if len(errs) != 1 << self.n:
-            raise DomainError(f"need {1 << self.n} error values for n={self.n}, got {len(errs)}")
+        errs = _check_vector(self.n, self.errors, "error values")
         if not all(math.isfinite(e) and e >= 0 for e in errs):
             raise DomainError("generalization errors must be finite and >= 0")
         object.__setattr__(self, "errors", errs)

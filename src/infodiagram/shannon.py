@@ -179,18 +179,17 @@ def act(x: RandomVariable, f, p: Dist) -> float:
     ``f`` is any callable on distributions; zero-probability values are
     skipped (their weight is zero).
     """
-    _check_same_space(p, x)
-    pushed = marginal(p, x)
-    return _average(x, f, p, pushed.points, pushed.masses, condition)
+    return _average(x, f, p, marginal(p, x).masses, condition)
 
 
-def _average(x: RandomVariable, f, ctx, labels, weights, condition_fn) -> float:
+def _average(x: RandomVariable, f, ctx, weights, condition_fn) -> float:
     """Sum of ``w * f(condition_fn(ctx, x, v))`` over labels ``v`` with weight ``w != 0``.
 
-    The averaging loop of every action, Shannon's and the deformed ones.
+    ``weights`` follow the labels ``x.values()``, as a pushforward's masses
+    do.  The averaging loop of every action, Shannon's and the deformed ones.
     """
     total = 0.0
-    for value, weight in zip(labels, weights):
+    for value, weight in zip(x.values(), weights):
         w = float(weight)
         if w == 0.0:
             continue

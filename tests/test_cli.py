@@ -124,6 +124,18 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
         assert code == 2
         assert f"ingestion error: {sf_path}: subset key {key!r} {message}" in err
 
+    # subset-table values are JSON numbers: a boolean or a numeric string is refused
+    for kind, field in (("setfun", "values"), ("advantage", "errors")):
+        for bad in (True, "0.5"):
+            sf_path = write(tmp_path, "sf.json", json.dumps({"n": 1, field: {"": 0, "1": bad}}))
+            code, out, err = run(capsys, "diagram", sf_path, "--instance", kind)
+            assert (code, out) == (2, "")
+            assert f"ingestion error: {sf_path}: value for subset '1' is not a number" in err
+        # a NaN literal is a number, refused by the instance as before
+        sf_path = write(tmp_path, "sf.json", '{"n": 1, "%s": {"": 0, "1": NaN}}' % field)
+        code, out, _ = run(capsys, "diagram", sf_path, "--instance", kind)
+        assert (code, out) == (3, "")
+
 
 @pytest.mark.parametrize("bad", ["-1", "nan", "heavy"])
 def test_bad_weight_names_file_and_row(tmp_path, capsys, bad):
@@ -145,6 +157,35 @@ def test_negative_alpha_needs_strictly_positive_masses(tmp_path, capsys, kind):
         assert code == 3
         assert out == ""
         assert "strictly positive" in err
+
+
+def test_overflowing_family_value_exits_3(tmp_path, capsys):
+    # Q masses of 0.001 to the power 1 - alpha = -399 are beyond a float
+    p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
+    q_csv = write(tmp_path, "q.csv", "A,B,__weight\n0,0,997\n0,1,1\n1,0,1\n1,1,1\n")
+    for command in ("diagram", "verify"):
+        code, out, err = run(capsys, command, p_csv, q_csv, "--instance", "alpha-kl", "--alpha", "400")
+        assert (code, out) == (3, "")
+        assert "instance error: alpha kl value out of floating-point range at parameter 400.0" in err
+
+
+def test_nan_totals_gap_fails_the_diagram(tmp_path, capsys, monkeypatch):
+    # the totals check of diagram compares each F1 with its atom sum; a NaN
+    # atom sum is a failure, not a gap that compares false with the tolerance
+    import infodiagram.cli as cli
+
+    real = cli.verify_hu
+
+    def nan_zeta(inst, **kwargs):
+        report = real(inst, **kwargs)
+        report.zeta[0] = math.nan  # the atom sum of K = full reads zeta[full ^ K]
+        return report
+
+    monkeypatch.setattr(cli, "verify_hu", nan_zeta)
+    csv_path = write(tmp_path, "xor.csv", XOR_CSV)
+    code, out, err = run(capsys, "diagram", csv_path, "--instance", "shannon")
+    assert (code, out) == (4, "")
+    assert "total consistency check failed for K=[1, 2, 3]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,6 +520,9 @@ def test_totals_length_is_checked():
         ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0))
     with pytest.raises(DomainError, match="totals"):
         ChainRuleInstance(n=2, totals=[0.0] * 8)
+    for bad in (None, "x", 10 ** 400):
+        with pytest.raises(DomainError, match="totals must be real numbers"):
+            ChainRuleInstance(n=1, totals=(0.0, bad))
 
 
 def test_totals_untouched_beyond_the_cap(monkeypatch):
@@ -661,3 +667,49 @@ def test_validate_action_form_catches_broken_action():
     )
     with pytest.raises(VerificationError):
         validate_action_form(broken, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# NaN gaps
+
+
+def _nan_instance():
+    """Three independent fair bits in bits (totals |K|), with one NaN conditional.
+
+    ``k1`` is NaN only at (3, 4); every other term is exact.
+    """
+    points = tuple((b >> 2 & 1, b >> 1 & 1, b & 1) for b in range(8))
+    dist, gens = empirical_from_rows(points)
+    inst = shannon_instance(dist, gens, "bits")
+    assert inst.totals == pytest.approx((0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0))
+    exact = inst.k1
+    return dataclasses.replace(inst, k1=lambda y, z: math.nan if (y, z) == (3, 4) else exact(y, z))
+
+
+def test_a_nan_gap_fails_every_gate():
+    inst = _nan_instance()
+    max_gap, violations = check_chain_rule(inst)
+    assert math.isnan(max_gap)
+    assert [(y, z) for y, z, _ in violations] == [(4, 3)]
+
+    with pytest.raises(VerificationError, match="chain rule"):
+        verify_hu(inst, q_max=3)
+    report = verify_hu(inst, q_max=3, check_chain=False)
+    nan_rows = [r for r in report.residuals if math.isnan(r.gap)]
+    assert (len(report.residuals), len(nan_rows)) == (1312, 27)
+    assert math.isnan(report.max_residual) and not report.passed
+    assert report.worst() is nan_rows[0]
+
+    with pytest.raises(VerificationError, match="two-argument form vs action"):
+        validate_action_form(inst, samples=500)
+
+    # the oracle reads only the totals: a NaN total fails its residual check
+    with pytest.raises(VerificationError, match="residual nan"):
+        mobius_oracle(ChainRuleInstance(n=2, totals=(0.0, 1.0, math.nan, 2.0)))
+
+    # finite gaps keep the largest gap and, among tied rows, the first
+    clean = verify_hu(ChainRuleInstance(n=3, totals=inst.totals), q_max=3)
+    gaps = [r.gap for r in clean.residuals]
+    assert gaps.count(max(gaps)) > 1
+    assert clean.max_residual == max(gaps)
+    assert clean.worst() is clean.residuals[gaps.index(max(gaps))]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,15 @@ from infodiagram import (
     joint_of,
     kl,
     kl_instance,
+    marginal,
     shannon_instance,
     tsallis_entropy,
     tsallis_instance,
     validate_action_form,
     verify_hu,
 )
+from infodiagram.divergences import MIN_ALPHA_MASS
+from infodiagram.shannon import condition
 
 KL_BERNOULLI_34_14_BITS = 0.792481250360578  # (1/2) log2 3
 
@@ -352,3 +357,167 @@ def test_negative_alpha_weights_reject_zero_mass_labels():
         # for alpha > 0 the zero-mass label only drops out of the average
         weight = build(ctx, gens, 0.5).action(lambda c: 1.0, 0b01)(zero_ctx)
         assert 0.0 < weight < float("inf")
+
+
+# ---------------------------------------------------------------------------
+# the family formulas against the expressions they replaced
+#
+# The functions below are the earlier value functions and action weights,
+# copied as they were, so the documents keep their bytes: Tsallis sums a
+# numpy power array, KL and cross-entropy take ``math.log`` per label, and
+# alpha-KL sums per-label powers left to right.
+
+
+def _old_powers(masses, alpha):
+    if alpha < 0 and np.any(masses < MIN_ALPHA_MASS):
+        raise DomainError("negative alpha requires strictly positive masses")
+    out = np.zeros_like(masses)
+    pos = masses > 0
+    out[pos] = masses[pos] ** alpha
+    return out
+
+
+def _old_pair_sum(pm, qm, term):
+    total = 0.0
+    for pv, qv in zip(pm, qm):
+        if pv > 0.0:
+            total += term(pv, qv)
+    return total
+
+
+def _old_tsallis(p, x, alpha):
+    return (float(_old_powers(marginal(p, x).masses, alpha).sum()) - 1.0) / (1.0 - alpha)
+
+
+def _old_kl(pair, x, scale):
+    pm, qm = marginal(pair.p, x).masses, marginal(pair.q, x).masses
+    return _old_pair_sum(pm, qm, lambda pv, qv: pv * math.log(pv / qv)) * scale
+
+
+def _old_cross_entropy(pair, x, scale):
+    pm, qm = marginal(pair.p, x).masses, marginal(pair.q, x).masses
+    return _old_pair_sum(pm, qm, lambda pv, qv: -pv * math.log(qv)) * scale
+
+
+def _old_alpha_kl(pair, x, alpha):
+    pm, qm = marginal(pair.p, x).masses, marginal(pair.q, x).masses
+    if alpha < 0 and (np.any(pm < MIN_ALPHA_MASS) or np.any(qm < MIN_ALPHA_MASS)):
+        raise DomainError("negative alpha requires strictly positive masses")
+    total = _old_pair_sum(pm, qm, lambda pv, qv: pv ** alpha * qv ** (1.0 - alpha))
+    return (total - 1.0) / (alpha - 1.0)
+
+
+def _old_tsallis_weights(p, x, alpha):
+    return _old_powers(marginal(p, x).masses, alpha)
+
+
+def _old_p_weights(pair, x, _):
+    return marginal(pair.p, x).masses
+
+
+def _old_alpha_kl_weights(pair, x, alpha):
+    pm, qm = marginal(pair.p, x).masses, marginal(pair.q, x).masses
+    if alpha < 0 and np.any(pm == 0.0):
+        raise DomainError("negative alpha requires strictly positive masses")
+    return [pv ** alpha * qv ** (1.0 - alpha) if pv > 0.0 else 0.0 for pv, qv in zip(pm.tolist(), qm.tolist())]
+
+
+def _old_pair_condition(pair, x, v):
+    return DistPair(p=condition(pair.p, x, v), q=condition(pair.q, x, v))
+
+
+def _old_k1(ctx, gens, value, weights, cond, param, y_mask, z_mask):
+    size = len(ctx)
+    y, z = joint_of(gens, y_mask, size), joint_of(gens, z_mask, size)
+    labels = marginal(ctx if isinstance(ctx, Dist) else ctx.p, z).points
+    total = 0.0
+    for label, weight in zip(labels, weights(ctx, z, param)):
+        w = float(weight)
+        if w == 0.0:
+            continue
+        total += w * value(cond(ctx, z, label), y, param)
+    return total
+
+
+def _zeroed_context(rng, positive):
+    """A seeded 3-variable joint and pair; unless ``positive``, some masses are 0."""
+    dist, gens = random_joint(rng, 3, arities=[2, 3, 2])
+    if not positive:
+        masses = np.where(rng.uniform(size=len(dist)) < 0.3, 0.0, dist.masses)
+        dist = Dist(masses=masses / masses.sum(), points=dist.points)
+    return dist, gens, random_pair(rng, dist)
+
+
+def _outcome(fn, *args):
+    """The float's bits, or the refusal, so that both must agree exactly."""
+    try:
+        return float(fn(*args)).hex()
+    except DomainError:
+        return "refused"
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0])
+def test_family_formulas_match_the_earlier_expressions_bit_for_bit(alpha):
+    rng = np.random.default_rng(58)
+    bits = 1.0 / math.log(2.0)
+    for _ in range(6):
+        # a negative power refuses zero masses, so alpha < 0 gets positive contexts
+        dist, gens, pair = _zeroed_context(rng, positive=alpha < 0)
+        families = (
+            (tsallis_instance(dist, gens, alpha), dist, _old_tsallis, _old_tsallis_weights, condition, alpha,
+             lambda x: tsallis_entropy(dist, x, alpha)),
+            (kl_instance(pair, gens, "bits"), pair, _old_kl, _old_p_weights, _old_pair_condition, bits,
+             lambda x: kl(pair, x, "bits")),
+            (cross_entropy_instance(pair, gens), pair, _old_cross_entropy, _old_p_weights, _old_pair_condition,
+             1.0, lambda x: cross_entropy(pair, x)),
+            (alpha_kl_instance(pair, gens, alpha), pair, _old_alpha_kl, _old_alpha_kl_weights,
+             _old_pair_condition, alpha, lambda x: alpha_kl(pair, x, alpha)),
+        )
+        for inst, ctx, value, weights, cond, param, public in families:
+            empty = value(ctx, joint_of(gens, 0, len(dist)), param)
+            for y in range(8):
+                x = joint_of(gens, y, len(dist))
+                assert _outcome(public, x) == _outcome(value, ctx, x, param)
+                assert inst.totals[y].hex() == float(value(ctx, x, param) - empty).hex()
+                for z in range(8):
+                    old = _outcome(_old_k1, ctx, gens, value, weights, cond, param, y, z)
+                    assert _outcome(inst.k1, y, z) == old
+
+
+def test_alpha_kl_weights_and_value_refuse_the_same_pushforwards():
+    # a P_X label of 1e-310 is positive but below MIN_ALPHA_MASS: both refuse it
+    rng = np.random.default_rng(59)
+    dist, gens = random_joint(rng, 2)
+    pair = random_pair(rng, dist)
+    masses = np.where(np.array(gens[0].labels) == 0, 1e-310, dist.masses)
+    tiny = DistPair(p=Dist(masses=masses / masses.sum(), points=dist.points), q=pair.q)
+    inst = alpha_kl_instance(pair, gens, -0.5)
+    with pytest.raises(DomainError, match="strictly positive"):
+        alpha_kl(tiny, gens[0], -0.5)
+    with pytest.raises(DomainError, match="strictly positive"):
+        inst.action(lambda c: 1.0, 0b01)(tiny)
+    # on the positive pair both accept, and the weights sum to the value's sum
+    weight = inst.action(lambda c: 1.0, 0b01)(pair)
+    assert weight == pytest.approx(1.0 + (-0.5 - 1.0) * alpha_kl(pair, gens[0], -0.5), rel=1e-12)
+
+
+def test_out_of_range_family_values_are_refused():
+    # Q's 1:1:1 masses of 0.001 to the power 1 - alpha = -399 overflow a float
+    points = ((0, 0), (0, 1), (1, 0), (1, 1))
+    p = Dist(masses=np.full(4, 0.25), points=points)
+    q = Dist(masses=np.array([997, 1, 1, 1]) / 1000, points=points)
+    pair = DistPair(p=p, q=q)
+    gens = [RandomVariable(labels=(0, 0, 1, 1)), RandomVariable(labels=(0, 1, 0, 1))]
+    with pytest.raises(DomainError, match="alpha kl value out of floating-point range at parameter 400.0"):
+        alpha_kl(pair, gens[1], 400.0)
+    with pytest.raises(DomainError, match="out of floating-point range"):
+        alpha_kl_instance(pair, gens, 400.0)
+    # the weights alone overflow too: the value on a context where they do not
+    inst = alpha_kl_instance(DistPair(p=p, q=Dist(masses=np.full(4, 0.25), points=points)), gens, 400.0)
+    with pytest.raises(DomainError, match="alpha kl weights out of floating-point range"):
+        inst.action(lambda c: 1.0, 0b11)(pair)
+    # a numpy power overflow is refused too, not left as a warning and inf
+    tiny = Dist(masses=np.array([1e-200, 1.0 - 1e-200]))
+    ident = RandomVariable(labels=(0, 1))
+    with pytest.raises(DomainError, match="tsallis value out of floating-point range at parameter -2.0"):
+        tsallis_entropy(tiny, ident, -2.0)

@@ -51,6 +51,16 @@ def monotone_errors(rng, n):
 def test_setfunction_validation(monkeypatch):
     with pytest.raises(DomainError, match="need 4 values"):
         SetFunction(n=2, values=(0.0, 1.0))
+    # a non-number is a DomainError, and a None value is not a missing subset
+    for bad in (None, "x"):
+        with pytest.raises(DomainError, match=f"values must be real numbers, got {bad!r}"):
+            SetFunction(n=1, values=(0.0, bad))
+        with pytest.raises(DomainError, match=f"values must be real numbers, got {bad!r}"):
+            SetFunction.from_mapping(1, {(): 0.0, (1,): bad})
+        with pytest.raises(DomainError, match=f"error values must be real numbers, got {bad!r}"):
+            HypothesisEvaluator(n=1, errors=(0.0, bad))
+    with pytest.raises(DomainError, match="need 4 error values for n=2, got 2"):
+        HypothesisEvaluator(n=2, errors=(0.0, 1.0))
     with pytest.raises(DomainError, match="not total"):
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0})
     fn = SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 2.0, (1, 2): 3.0})
