@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
 import random
@@ -245,7 +247,11 @@ def _metadata(config: argparse.Namespace, inst: ChainRuleInstance, names) -> dic
 
 
 def _residual_row(r) -> dict:
-    """One residual as a document row, masks written as 1-based index lists."""
+    """One residual as a document row, masks written as 1-based index lists.
+
+    The summary's ``worst`` is such a dict; the verify writer gives every
+    residual row these bytes without building the dict.
+    """
     return {
         "q": r.q,
         "L": [list(indices_of(l)) for l in r.l_masks],
@@ -303,13 +309,19 @@ def cmd_diagram(config: argparse.Namespace) -> dict:
 
 
 def cmd_verify(config: argparse.Namespace):
-    """Full residual table; returns (document, exit_code)."""
+    """Full residual table; returns (document, exit_code).
+
+    The document's ``residuals`` is ``report.residuals`` itself, the
+    :class:`Residual` tuples of the sweep: :func:`_write_document` writes
+    each as a row of the fixed schema ``J, L, gap, lhs, q, rhs`` (the
+    :func:`_residual_row` shape) without building a dict per row.
+    """
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
     doc = {
         "metadata": _metadata(config, inst, names),
         "summary": _verification_summary(report),
-        "residuals": [_residual_row(r) for r in report.residuals],
+        "residuals": report.residuals,
     }
     return doc, (EXIT_OK if report.passed else EXIT_VERIFY)
 
@@ -433,9 +445,74 @@ def _write_json(doc: dict, out: str) -> None:
         fh.write("\n")
 
 
+_ROWS_PER_WRITE = 4096
+
+# json writes a non-finite float by these names, any other by float.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_list(items, indent: str) -> str:
+    """Item texts as ``json.dump(..., indent=2)`` writes a list whose closing
+    bracket sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _residual_json_rows(residuals):
+    """Each residual as the text ``json.dump(..., sort_keys=True, indent=2)``
+    gives its :func:`_residual_row` inside the ``residuals`` list of a
+    document, preceded by the separator from the row before.  Each mask's
+    and each L tuple's text is built once."""
+    j_text = functools.cache(lambda j: _json_list([str(i) for i in indices_of(j)], "      "))
+    l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
+    l_text = functools.cache(lambda l_masks: _json_list([l_entry(l) for l in l_masks], "      "))
+    sep = "\n"
+    for q, l_masks, j, lhs, rhs, gap in residuals:
+        yield (f'{sep}    {{\n      "J": {j_text(j)},\n      "L": {l_text(l_masks)},\n'
+               f'      "gap": {_json_float(gap)},\n      "lhs": {_json_float(lhs)},\n'
+               f'      "q": {q},\n      "rhs": {_json_float(rhs)}\n    }}')
+        sep = ",\n"
+
+
+def _residual_csv_rows(residuals):
+    mask_text = functools.cache(lambda mask: " ".join(map(str, indices_of(mask))))
+    for q, l_masks, j, lhs, rhs, gap in residuals:
+        yield f'{q},"{"|".join(map(mask_text, l_masks))}","{mask_text(j)}",{lhs!r},{rhs!r},{gap!r}\n'
+
+
+def _write_chunked(fh, texts) -> None:
+    while chunk := "".join(itertools.islice(texts, _ROWS_PER_WRITE)):
+        fh.write(chunk)
+
+
+def _nested_json(value) -> str:
+    """``value`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it one
+    level down; json escapes newlines inside strings, so every newline of
+    the text is a line break."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
 def _write_document(doc: dict, config: argparse.Namespace) -> None:
-    """Stream the document to ``config.out`` without building its text first."""
-    if config.fmt != "csv":
+    """Stream the document to ``config.out`` without building its text first.
+
+    A ``diagram`` JSON document goes through ``json.dump``.  A ``verify``
+    document holds the sweep's :class:`Residual` tuples.  Its JSON is
+    ``metadata`` and ``summary`` from ``json.dumps`` around residual rows
+    written by hand in the fixed key order ``J, L, gap, lhs, q, rhs``, with
+    each float as json writes it (``float.__repr__``, or ``NaN``,
+    ``Infinity`` and ``-Infinity``): the bytes that
+    ``json.dump(..., sort_keys=True, indent=2)`` gives the
+    :func:`_residual_row` dicts.  Its CSV is one line per residual.  Rows
+    are written ``_ROWS_PER_WRITE`` at a time.
+    """
+    if config.fmt != "csv" and config.command != "verify":
         _write_json(doc, config.out)
         return
     with _output(config.out) as fh:
@@ -443,12 +520,13 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
             fh.write("subset,eta\n")
             for entry in doc["atoms"]:
                 fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
-        else:
+        elif config.fmt == "csv":
             fh.write("q,L,J,lhs,rhs,gap\n")
-            for row in doc["residuals"]:
-                l_txt = "|".join(" ".join(map(str, l)) for l in row["L"])
-                j_txt = " ".join(map(str, row["J"]))
-                fh.write(f"{row['q']},\"{l_txt}\",\"{j_txt}\",{row['lhs']!r},{row['rhs']!r},{row['gap']!r}\n")
+            _write_chunked(fh, _residual_csv_rows(doc["residuals"]))
+        else:
+            fh.write('{\n  "metadata": ' + _nested_json(doc["metadata"]) + ',\n  "residuals": [')
+            _write_chunked(fh, _residual_json_rows(doc["residuals"]))
+            fh.write('\n  ],\n  "summary": ' + _nested_json(doc["summary"]) + "\n}\n")
 
 
 def _add_instance_options(sub: argparse.ArgumentParser) -> None:

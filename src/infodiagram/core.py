@@ -247,7 +247,8 @@ class ChainRuleInstance:
     action: Callable[[Any, int], Any] | None = None
     evaluate: Callable[[Any], float] | None = None
     meta: dict = field(default_factory=dict)
-    _k1_cache: dict = field(default_factory=dict, repr=False)
+    # not an __init__ argument, so a dataclasses.replace copy starts with an empty memo
+    _k1_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.totals = _check_vector(self.n, self.totals, "totals")

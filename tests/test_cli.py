@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
+import random
 
 import pytest
 
+import infodiagram.cli as cli
 from infodiagram.cli import main
+from infodiagram.core import indices_of
 
 XOR_CSV = "X,Y,Z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
 
@@ -314,6 +319,115 @@ def test_verify_compressor_blobs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["metadata"]["compressor"] == "zlib level 9"
     assert doc["metadata"]["generators"] == ["a.bin", "b.bin"]
+
+
+def _verify_inputs(tmp_path, family, n):
+    """Seeded input files of an n-generator instance of ``family``."""
+    rng = random.Random(n)
+    header = ",".join(f"x{j + 1}" for j in range(n)) + ",__weight\n"
+    rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(12)]
+    p_text = header + "".join(",".join(map(str, row)) + f",{rng.uniform(0.1, 2.0)}\n" for row in rows)
+    if family == "shannon":
+        return [write(tmp_path, "p.csv", p_text), "--instance", "shannon"]
+    if family == "alpha-kl":
+        q_rows = rows + [tuple(rng.randrange(3) for _ in range(n)) for _ in range(8)]
+        q_text = header + "".join(",".join(map(str, row)) + f",{rng.uniform(0.1, 2.0)}\n" for row in q_rows)
+        return [write(tmp_path, "p.csv", p_text), write(tmp_path, "q.csv", q_text),
+                "--instance", "alpha-kl", "--alpha", "0.5"]
+    values = {" ".join(map(str, indices_of(m))): rng.uniform(-1.0, 1.0) for m in range(1 << n)}
+    return [write(tmp_path, "sf.json", json.dumps({"n": n, "values": values})), "--instance", "setfun"]
+
+
+def _capture_verify_documents(monkeypatch):
+    """The documents ``cmd_verify`` hands to the writer, in call order."""
+    docs = []
+    real = cli.cmd_verify
+
+    def capture(config):
+        doc, code = real(config)
+        docs.append(doc)
+        return doc, code
+
+    monkeypatch.setattr(cli, "cmd_verify", capture)
+    return docs
+
+
+def _old_rows(residuals):
+    """One dict per residual, as the verify document used to hold them."""
+    return [{"q": r.q, "L": [list(indices_of(l)) for l in r.l_masks], "J": list(indices_of(r.j_mask)),
+             "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap} for r in residuals]
+
+
+def _old_json(doc) -> str:
+    fh = io.StringIO()
+    json.dump({**doc, "residuals": _old_rows(doc["residuals"])}, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def _old_csv(doc) -> str:
+    lines = ["q,L,J,lhs,rhs,gap\n"]
+    for row in _old_rows(doc["residuals"]):
+        l_txt = "|".join(" ".join(map(str, l)) for l in row["L"])
+        j_txt = " ".join(map(str, row["J"]))
+        lines.append(f"{row['q']},\"{l_txt}\",\"{j_txt}\",{row['lhs']!r},{row['rhs']!r},{row['gap']!r}\n")
+    return "".join(lines)
+
+
+def _verify_both_ways(tmp_path, capsys, argv, fmt="json"):
+    """Exit code and text of a verify run to stdout, checked equal to ``--out FILE``."""
+    code, out, _ = run(capsys, "verify", *argv, "--format", fmt)
+    out_path = tmp_path / f"doc.{fmt}"
+    assert run(capsys, "verify", *argv, "--format", fmt, "--out", str(out_path))[0] == code
+    assert out_path.read_bytes() == out.encode("utf-8")
+    return code, out
+
+
+@pytest.mark.parametrize("family", ["shannon", "alpha-kl", "setfun"])
+@pytest.mark.parametrize("n, q_max", [(1, 1), (1, 4), (2, 1), (2, 4), (3, 1), (3, 4), (6, 3)])
+def test_verify_document_matches_json_dump_of_the_rows(tmp_path, capsys, monkeypatch, family, n, q_max):
+    # the rows are written by hand; their bytes are those json.dump gives
+    # the old one-dict-per-row document, to stdout and to a file alike
+    docs = _capture_verify_documents(monkeypatch)
+    argv = [*_verify_inputs(tmp_path, family, n), "--qmax", str(q_max)]
+    code, out = _verify_both_ways(tmp_path, capsys, argv)
+    assert code == 0
+    doc = docs[0]
+    assert doc["summary"]["mode"] == ("sampled" if n > 5 else "exhaustive")
+    if n > 1 and q_max > 1:  # L tuples hold the empty mask and repeated masks
+        assert any(0 in r.l_masks for r in doc["residuals"])
+        assert any(len(set(r.l_masks)) < r.q for r in doc["residuals"])
+    assert out == _old_json(doc)
+    code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
+    assert code == 0
+    assert out == _old_csv(docs[-1])
+
+
+def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, capsys, monkeypatch):
+    real = cli.verify_hu
+    specials = (math.nan, math.inf, -math.inf, -0.0, 0.5)
+
+    def special_sweep(inst, **kwargs):
+        report = real(inst, **kwargs)
+        for i, (lhs, rhs, gap) in enumerate(itertools.product(specials, repeat=3)):
+            report.residuals[i] = report.residuals[i]._replace(lhs=lhs, rhs=rhs, gap=gap)
+        report.max_residual = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "verify_hu", special_sweep)
+    docs = _capture_verify_documents(monkeypatch)
+    argv = [write(tmp_path, "xor.csv", XOR_CSV), "--instance", "shannon"]
+    code, out = _verify_both_ways(tmp_path, capsys, argv)
+    assert code == 4
+    assert out == _old_json(docs[0])
+    # NaN, Infinity, -Infinity and -0.0 parse back to what was written
+    parsed = [(row["lhs"], row["rhs"], row["gap"]) for row in json.loads(out)["residuals"][:125]]
+    assert [tuple(map(repr, values)) for values in parsed] == [
+        tuple(map(repr, values)) for values in itertools.product(specials, repeat=3)
+    ]
+    code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
+    assert code == 4
+    assert out == _old_csv(docs[-1])
 
 
 # ---------------------------------------------------------------------------

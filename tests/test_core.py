@@ -713,3 +713,11 @@ def test_a_nan_gap_fails_every_gate():
     assert gaps.count(max(gaps)) > 1
     assert clean.max_residual == max(gaps)
     assert clean.worst() is clean.residuals[gaps.index(max(gaps))]
+
+
+def test_a_replaced_instance_does_not_share_the_k1_memo():
+    nan_inst = _nan_instance()
+    with pytest.raises(VerificationError, match="chain rule"):
+        verify_hu(nan_inst, q_max=3)  # memoizes every k1 value, the NaN at (3, 4) too
+    clean = dataclasses.replace(nan_inst, k1=None)
+    assert verify_hu(clean, q_max=3).passed
