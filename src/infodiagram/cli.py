@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import random
@@ -61,7 +60,6 @@ EXIT_VERIFY = 4
 KINDS = ("shannon", "tsallis", "kl", "alpha-kl", "cross-entropy", "setfun", "advantage", "compressor")
 PAIR_KINDS = frozenset({"kl", "alpha-kl", "cross-entropy"})
 ALPHA_KINDS = frozenset({"tsallis", "alpha-kl"})
-BASE_FREE_KINDS = frozenset({"tsallis", "alpha-kl", "setfun", "advantage", "compressor"})
 
 COMPRESSOR_ID = "zlib level 9"
 
@@ -234,8 +232,8 @@ def build_instance(config: argparse.Namespace):
 def _metadata(config: argparse.Namespace, inst: ChainRuleInstance, names) -> dict:
     meta = {
         "instance": inst.meta.get("kind", config.kind),
-        "base": None if config.kind in BASE_FREE_KINDS else config.base,
-        "alpha": config.alpha,
+        "base": inst.meta.get("base"),
+        "alpha": inst.meta.get("alpha"),
         "tolerance": config.tol,
         "q_max": config.q_max,
         "n": inst.n,
@@ -445,8 +443,6 @@ def _write_json(doc: dict, out: str) -> None:
         fh.write("\n")
 
 
-_ROWS_PER_WRITE = 4096
-
 # json writes a non-finite float by these names, any other by float.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -487,11 +483,6 @@ def _residual_csv_rows(residuals):
         yield f'{q},"{"|".join(map(mask_text, l_masks))}","{mask_text(j)}",{lhs!r},{rhs!r},{gap!r}\n'
 
 
-def _write_chunked(fh, texts) -> None:
-    while chunk := "".join(itertools.islice(texts, _ROWS_PER_WRITE)):
-        fh.write(chunk)
-
-
 def _nested_json(value) -> str:
     """``value`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it one
     level down; json escapes newlines inside strings, so every newline of
@@ -510,7 +501,7 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
     ``Infinity`` and ``-Infinity``): the bytes that
     ``json.dump(..., sort_keys=True, indent=2)`` gives the
     :func:`_residual_row` dicts.  Its CSV is one line per residual.  Rows
-    are written ``_ROWS_PER_WRITE`` at a time.
+    go to the handle as they are made, through ``writelines``.
     """
     if config.fmt != "csv" and config.command != "verify":
         _write_json(doc, config.out)
@@ -522,10 +513,10 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
                 fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
         elif config.fmt == "csv":
             fh.write("q,L,J,lhs,rhs,gap\n")
-            _write_chunked(fh, _residual_csv_rows(doc["residuals"]))
+            fh.writelines(_residual_csv_rows(doc["residuals"]))
         else:
             fh.write('{\n  "metadata": ' + _nested_json(doc["metadata"]) + ',\n  "residuals": [')
-            _write_chunked(fh, _residual_json_rows(doc["residuals"]))
+            fh.writelines(_residual_json_rows(doc["residuals"]))
             fh.write('\n  ],\n  "summary": ' + _nested_json(doc["summary"]) + "\n}\n")
 
 
@@ -614,10 +605,7 @@ def main(argv=None) -> int:
                 fh.write(svg)
             return EXIT_OK
         raise IngestionError(f"unknown command {config.command!r}")
-    except IngestionError as exc:
-        print(f"ingestion error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except OSError as exc:
+    except (IngestionError, OSError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except DomainError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainRuleInstance, DomainError, _check_n, _check_vector, indices_of, mask_of
-from .shannon import Dist, RandomVariable, _check_same_space, _lattice_totals, entropy, joint, joint_of
+from .shannon import Dist, RandomVariable, _check_same_space, entropy, joint, joint_of, shannon_instance
 
 SUBMODULAR_MAX_N = 12
 SUBMODULAR_TOL = 1e-12
@@ -67,8 +67,8 @@ class SetFunction:
 
 def entropy_setfunction(p: Dist, gens, base: str = "nats") -> SetFunction:
     """The classical entropy set function ``R(A) = H(X_A; P)``."""
-    gens, values = _lattice_totals(p, gens, lambda x: entropy(p, x, base))
-    return SetFunction(n=len(gens), values=tuple(values))
+    inst = shannon_instance(p, gens, base)
+    return SetFunction(n=inst.n, values=inst.totals)
 
 
 def r1_instance(r: SetFunction) -> ChainRuleInstance:

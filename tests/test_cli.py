@@ -321,6 +321,29 @@ def test_verify_compressor_blobs(tmp_path, capsys):
     assert doc["metadata"]["generators"] == ["a.bin", "b.bin"]
 
 
+_BASE_FREE = {"tsallis", "alpha-kl", "setfun", "advantage", "compressor"}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_metadata_base_and_alpha_come_from_the_instance(tmp_path, capsys, kind):
+    # a document names the base of the log-based families only, and alpha
+    # of the deformed ones only
+    table = write(tmp_path, "p.csv", XOR_CSV)
+    inputs = {
+        "shannon": [table],
+        "tsallis": [table],
+        "setfun": [write(tmp_path, "sf.json", json.dumps({"n": 2, "values": {"": 0, "1": 1, "2": 1, "1 2": 1.5}}))],
+        "advantage": [write(tmp_path, "ev.json", json.dumps({"n": 2, "errors": {"": 1, "1": 1, "2": 1, "1 2": 0}}))],
+        "compressor": [write(tmp_path, "a.txt", "abc" * 20), write(tmp_path, "b.txt", "xyz" * 9)],
+    }.get(kind, [table, table])
+    alpha = ["--alpha", "0.5"] if kind in cli.ALPHA_KINDS else []
+    code, out, _ = run(capsys, "diagram", *inputs, "--instance", kind, "--base", "bits", *alpha, "--tol", "1e-9")
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert meta["base"] == (None if kind in _BASE_FREE else "bits")
+    assert meta["alpha"] == (0.5 if alpha else None)
+
+
 def _verify_inputs(tmp_path, family, n):
     """Seeded input files of an n-generator instance of ``family``."""
     rng = random.Random(n)

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import infodiagram.divergences
+import infodiagram.shannon
 from conftest import random_joint, random_pair
 from infodiagram import (
     Dist,
@@ -81,8 +83,14 @@ def test_distpair_names_the_first_offending_point():
 
 
 def test_distpair_space_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^sample-space size mismatch: 1 vs 2$"):
         DistPair(p=Dist(masses=np.array([1.0])), q=Dist(masses=np.array([0.5, 0.5])))
+
+
+def test_divergences_re_exports_the_pair_machinery():
+    # divergences holds formulas only; the pair and its conditioning are re-exported
+    assert infodiagram.divergences.DistPair is infodiagram.shannon.DistPair is DistPair
+    assert infodiagram.divergences.condition_pair is infodiagram.shannon.condition_pair
 
 
 # ---------------------------------------------------------------------------

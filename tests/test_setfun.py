@@ -19,6 +19,7 @@ from infodiagram import (
     interaction,
     is_submodular,
     r1_instance,
+    shannon_instance,
     verify_hu,
     zlib_compressor,
 )
@@ -121,6 +122,8 @@ def test_is_submodular_modular_and_entropy():
     dist, gens = random_joint(rng, 3)
     entropic = entropy_setfunction(dist, gens)
     assert is_submodular(entropic) == (True, None)
+    assert entropic.values == shannon_instance(dist, gens).totals
+    assert entropy_setfunction(dist, gens, "bits").values == shannon_instance(dist, gens, "bits").totals
 
 
 def test_is_submodular_violation_witnesses():

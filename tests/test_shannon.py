@@ -26,7 +26,7 @@ from infodiagram import (
     shannon_instance,
     tsallis_instance,
 )
-from infodiagram.shannon import _codes
+from infodiagram.shannon import _codes, joint_of, log_scale
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -128,8 +128,9 @@ def test_joint_and_equivalence_laws():
     assert equivalent(joint(x, constant_variable(5)), x)
     assert equivalent(joint(x, x), x)
     assert equivalent(joint(x, y), joint(y, x))
-    with pytest.raises(DomainError, match="mismatch"):
-        joint(x, random_variable(rng, 4))
+    for check in (joint, equivalent, refines):  # one size check, one message
+        with pytest.raises(DomainError, match=r"^sample-space size mismatch: 5 vs 4$"):
+            check(x, random_variable(rng, 4))
 
 
 def test_equivalent_examples():
@@ -253,6 +254,54 @@ def test_shannon_instance_small_cases(xor_joint):
     dist, gens = xor_joint
     inst_xor = shannon_instance(dist, gens, "bits")
     assert interaction(inst_xor, (1, 2, 4), 0) == pytest.approx(-1.0, abs=1e-12)
+
+
+def _direct_entropy(p, x, base):
+    """Shannon entropy by its own expression, apart from the family builder."""
+    m = marginal(p, x).masses
+    pos = m[m > 0]
+    return float(-(pos * np.log(pos)).sum() * log_scale(base))
+
+
+def _spaces_with_zero_masses(seed, count, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(1, 40))
+        masses = rng.uniform(0.0, 1.0, size)
+        masses[rng.random(size) < 0.3] = 0.0
+        masses[int(rng.integers(size))] = 1.0
+        p = Dist(masses=masses / masses.sum())
+        gens = [random_variable(rng, size, int(rng.integers(1, 5))) for _ in range(n)]
+        yield p, gens
+
+
+def test_entropy_matches_its_direct_expression_with_zero_masses():
+    for p, gens in _spaces_with_zero_masses(20262, 80, 3):
+        for x in gens + [joint(gens[0], gens[1]), constant_variable(len(p))]:
+            for base in ("nats", "bits"):
+                value = entropy(p, x, base)
+                assert type(value) is float
+                assert value == _direct_entropy(p, x, base)
+
+
+def test_shannon_instance_matches_a_direct_construction_bit_for_bit():
+    # joint entropies for totals, the totals difference for k1, and
+    # entropy_function and conditioned for the action form
+    for p, gens in _spaces_with_zero_masses(20263, 25, 3):
+        size = len(p)
+        var = [joint_of(gens, mask, size) for mask in range(8)]
+        for base in ("nats", "bits"):
+            inst = shannon_instance(p, gens, base)
+            values = [_direct_entropy(p, x, base) for x in var]
+            assert list(inst.totals) == [v - values[0] for v in values]
+            assert inst.meta == {"kind": "shannon", "base": base}
+            for y in range(8):
+                assert inst.evaluate(inst.f1(y)) == entropy_function(var[y], base)(p) == values[y]
+                for z in range(8):
+                    assert inst.k1(y, z) == inst.totals[y | z] - inst.totals[z]
+                    acted = inst.evaluate(inst.action(inst.f1(y), z))
+                    assert acted == conditioned(var[z], entropy_function(var[y], base))(p)
+                    assert acted == conditioned(var[z], lambda q, x=var[y]: _direct_entropy(q, x, base))(p)
 
 
 def test_marginal_matches_dict_accumulation_bit_for_bit():
