@@ -310,9 +310,10 @@ def cmd_verify(config: argparse.Namespace):
     """Full residual table; returns (document, exit_code).
 
     The document's ``residuals`` is ``report.residuals`` itself, the
-    :class:`Residual` tuples of the sweep: :func:`_write_document` writes
-    each as a row of the fixed schema ``J, L, gap, lhs, q, rhs`` (the
-    :func:`_residual_row` shape) without building a dict per row.
+    sweep's residual columns: :func:`_write_document` writes each check as
+    a row of the fixed schema ``J, L, gap, lhs, q, rhs`` (the
+    :func:`_residual_row` shape) straight from the columns, without
+    building a :class:`Residual` or a dict per row.
     """
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
@@ -461,26 +462,37 @@ def _json_list(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _residual_json_rows(residuals):
-    """Each residual as the text ``json.dump(..., sort_keys=True, indent=2)``
-    gives its :func:`_residual_row` inside the ``residuals`` list of a
-    document, preceded by the separator from the row before.  Each mask's
-    and each L tuple's text is built once."""
+# rows of the verify table formatted and written at a time; a chunk's texts
+# live at once, so larger chunks raise the peak memory of the write
+_CHUNK_ROWS = 1024
+
+
+def _residual_json_chunks(residuals):
+    """The rows of the ``residuals`` list, a chunk of them per text, as
+    ``json.dump(..., sort_keys=True, indent=2)`` gives the
+    :func:`_residual_row` dicts inside a document, each chunk preceded by
+    the separator from the row before.  Each mask's and each L tuple's text
+    is built once."""
     j_text = functools.cache(lambda j: _json_list([str(i) for i in indices_of(j)], "      "))
     l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
     l_text = functools.cache(lambda l_masks: _json_list([l_entry(l) for l in l_masks], "      "))
     sep = "\n"
-    for q, l_masks, j, lhs, rhs, gap in residuals:
-        yield (f'{sep}    {{\n      "J": {j_text(j)},\n      "L": {l_text(l_masks)},\n'
-               f'      "gap": {_json_float(gap)},\n      "lhs": {_json_float(lhs)},\n'
-               f'      "q": {q},\n      "rhs": {_json_float(rhs)}\n    }}')
+    for qs, ls, js, lhs, rhs, gaps in residuals.column_chunks(_CHUNK_ROWS):
+        yield sep + ",\n".join([
+            f'    {{\n      "J": {j_text(j)},\n      "L": {l_text(tuple(l[:q]))},\n'
+            f'      "gap": {_json_float(gap)},\n      "lhs": {_json_float(a)},\n'
+            f'      "q": {q},\n      "rhs": {_json_float(b)}\n    }}'
+            for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)
+        ])
         sep = ",\n"
 
 
-def _residual_csv_rows(residuals):
+def _residual_csv_chunks(residuals):
     mask_text = functools.cache(lambda mask: " ".join(map(str, indices_of(mask))))
-    for q, l_masks, j, lhs, rhs, gap in residuals:
-        yield f'{q},"{"|".join(map(mask_text, l_masks))}","{mask_text(j)}",{lhs!r},{rhs!r},{gap!r}\n'
+    l_text = functools.cache(lambda l_masks: "|".join(map(mask_text, l_masks)))
+    for qs, ls, js, lhs, rhs, gaps in residuals.column_chunks(_CHUNK_ROWS):
+        yield "".join([f'{q},"{l_text(tuple(l[:q]))}","{mask_text(j)}",{a!r},{b!r},{gap!r}\n'
+                       for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)])
 
 
 def _nested_json(value) -> str:
@@ -494,14 +506,15 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
     """Stream the document to ``config.out`` without building its text first.
 
     A ``diagram`` JSON document goes through ``json.dump``.  A ``verify``
-    document holds the sweep's :class:`Residual` tuples.  Its JSON is
-    ``metadata`` and ``summary`` from ``json.dumps`` around residual rows
-    written by hand in the fixed key order ``J, L, gap, lhs, q, rhs``, with
-    each float as json writes it (``float.__repr__``, or ``NaN``,
-    ``Infinity`` and ``-Infinity``): the bytes that
-    ``json.dump(..., sort_keys=True, indent=2)`` gives the
-    :func:`_residual_row` dicts.  Its CSV is one line per residual.  Rows
-    go to the handle as they are made, through ``writelines``.
+    document holds the sweep's residual columns (``report.residuals``).  Its
+    JSON is ``metadata`` and ``summary`` from ``json.dumps`` around residual
+    rows written by hand from the columns in the fixed key order
+    ``J, L, gap, lhs, q, rhs``, with each float as json writes it
+    (``float.__repr__``, or ``NaN``, ``Infinity`` and ``-Infinity``): the
+    bytes that ``json.dump(..., sort_keys=True, indent=2)`` gives the
+    :func:`_residual_row` dicts.  Its CSV is one line per residual.  The
+    rows are formatted ``_CHUNK_ROWS`` at a time, one ``tolist`` per column,
+    and each chunk goes to the handle as one ``write``.
     """
     if config.fmt != "csv" and config.command != "verify":
         _write_json(doc, config.out)
@@ -513,10 +526,12 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
                 fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
         elif config.fmt == "csv":
             fh.write("q,L,J,lhs,rhs,gap\n")
-            fh.writelines(_residual_csv_rows(doc["residuals"]))
+            for chunk in _residual_csv_chunks(doc["residuals"]):
+                fh.write(chunk)
         else:
             fh.write('{\n  "metadata": ' + _nested_json(doc["metadata"]) + ',\n  "residuals": [')
-            fh.writelines(_residual_json_rows(doc["residuals"]))
+            for chunk in _residual_json_chunks(doc["residuals"]):
+                fh.write(chunk)
             fh.write('\n  ],\n  "summary": ' + _nested_json(doc["summary"]) + "\n}\n")
 
 
