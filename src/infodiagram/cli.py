@@ -9,7 +9,12 @@ Subcommands
 * ``examples`` -- built-in constructions with known closed-form values.
 * ``render``   -- draw a computed document as a static SVG Venn diagram.
 
-Exit codes: 0 ok, 2 ingestion/usage error, 3 instance-precondition failure
+Every JSON document (``diagram``, ``verify`` and ``examples``) has exactly
+the bytes of ``json.dump(doc, sort_keys=True, indent=2)`` plus a newline;
+one streaming writer, :func:`_write_document`, writes them all.
+
+Exit codes: 0 ok, 2 ingestion/usage error (an unreadable or malformed
+input, a file that is not UTF-8 included), 3 instance-precondition failure
 (absolute continuity, alpha poles, caps), 4 verification failure beyond
 tolerance.  Diagnostics go to stderr; with ``--out -`` only the requested
 document goes to stdout.
@@ -45,6 +50,7 @@ from .render import render_venn
 from .setfun import (
     HypothesisEvaluator,
     SetFunction,
+    _subset_values,
     advantage_instance,
     bayes_error_evaluator,
     compressor_setfunction,
@@ -79,7 +85,7 @@ def read_table(path: str):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             raw = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's limit
         raise IngestionError(f"{path}: {exc}") from exc
     raw = [row for row in raw if row]
     if len(raw) < 2:
@@ -118,27 +124,29 @@ def paired_empirical(path_p: str, path_q: str):
     return pair, gens, names_p
 
 
-def _parse_subset_key(key: str, n: int) -> int:
-    key = key.strip()
-    if not key:
-        return 0
-    try:
-        indices = [int(part) for part in key.replace(",", " ").split()]
-    except ValueError:
-        raise IngestionError(f"subset key {key!r} is not a list of indices") from None
-    if any(i < 1 or i > n for i in indices):
-        raise IngestionError(f"subset key {key!r} is out of range 1..{n}")
-    return mask_of(indices)
-
-
-def _read_subset_table(path: str, field_name: str):
+def _load_json(path: str):
+    """The JSON value in the UTF-8 file ``path``; an unreadable file is an IngestionError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise IngestionError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _parse_subset_key(key: str, n: int) -> int:
+    """The mask of a subset key such as ``"1 3"`` or ``"1,3"``, or -1, a mask
+    the range check refuses, when an index lies outside 1..n."""
+    try:
+        indices = [int(part) for part in key.replace(",", " ").split()]
+    except ValueError:
+        raise DomainError(f"subset key {key!r} is not a list of indices") from None
+    return mask_of(indices) if all(1 <= i <= n for i in indices) else -1
+
+
+def _read_subset_table(path: str, field_name: str):
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
     n = doc["n"]
@@ -148,23 +156,20 @@ def _read_subset_table(path: str, field_name: str):
     table = doc[field_name]
     if not isinstance(table, dict):
         raise IngestionError(f"{path}: '{field_name}' must map subset keys to numbers")
-    values = {}
-    for key, val in table.items():
-        try:
-            mask = _parse_subset_key(str(key), n)
-        except IngestionError as exc:
-            raise IngestionError(f"{path}: {exc}") from None
-        if mask in values:
-            raise IngestionError(f"{path}: duplicate subset key {key!r}")
-        # a JSON number, not a boolean or a numeric string; the set function checks its range
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise IngestionError(f"{path}: value for subset {key!r} is not a number")
-        values[mask] = val
-    missing = [m for m in range(1 << n) if m not in values]
-    if missing:
-        raise IngestionError(
-            f"{path}: '{field_name}' is not total; missing subset {list(indices_of(missing[0]))}"
-        )
+
+    def entries():
+        for raw_key, val in table.items():
+            key = raw_key.strip()
+            yield key, _parse_subset_key(key, n), val
+            # once the key has passed the range and duplicate checks: a JSON
+            # number, not a boolean or a numeric string; the set function checks its range
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise DomainError(f"value for subset {raw_key!r} is not a number")
+
+    try:
+        values = _subset_values(n, entries(), f"'{field_name}'")
+    except DomainError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
     names = doc.get("names", [str(i) for i in range(1, n + 1)])
     if not isinstance(names, list) or len(names) != n:
         raise IngestionError(f"{path}: 'names' must list {n} generator names")
@@ -173,12 +178,12 @@ def _read_subset_table(path: str, field_name: str):
 
 def read_setfunction(path: str):
     n, values, names = _read_subset_table(path, "values")
-    return SetFunction(n=n, values=tuple(values[m] for m in range(1 << n))), names
+    return SetFunction(n=n, values=values), names
 
 
 def read_errors(path: str):
     n, values, names = _read_subset_table(path, "errors")
-    return HypothesisEvaluator(n=n, errors=tuple(values[m] for m in range(1 << n))), names
+    return HypothesisEvaluator(n=n, errors=values), names
 
 
 def read_blobs(paths):
@@ -410,13 +415,7 @@ def cmd_examples(config: argparse.Namespace):
 
 def cmd_render(config: argparse.Namespace) -> str:
     """Render a diagram document to SVG text."""
-    try:
-        with open(config.document, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IngestionError(f"{config.document}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{config.document}: invalid JSON: {exc}") from exc
+    doc = _load_json(config.document)
     try:
         return render_venn(doc)
     except DomainError as exc:
@@ -438,12 +437,6 @@ def _output(out: str):
             yield fh
 
 
-def _write_json(doc: dict, out: str) -> None:
-    with _output(out) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # json writes a non-finite float by these names, any other by float.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -462,29 +455,52 @@ def _json_list(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-# rows of the verify table formatted and written at a time; a chunk's texts
-# live at once, so larger chunks raise the peak memory of the write
+# rows of a row list formatted and written at a time; a chunk's texts live
+# at once, so larger chunks raise the peak memory of the write
 _CHUNK_ROWS = 1024
 
 
+def _indices_json(indices) -> str:
+    return _json_list([str(i) for i in indices], "      ")
+
+
 def _residual_json_chunks(residuals):
-    """The rows of the ``residuals`` list, a chunk of them per text, as
+    """The texts of the ``residuals`` rows, a list of them per chunk, as
     ``json.dump(..., sort_keys=True, indent=2)`` gives the
-    :func:`_residual_row` dicts inside a document, each chunk preceded by
-    the separator from the row before.  Each mask's and each L tuple's text
-    is built once."""
-    j_text = functools.cache(lambda j: _json_list([str(i) for i in indices_of(j)], "      "))
+    :func:`_residual_row` dicts inside a document.  Each mask's and each L
+    tuple's text is built once."""
+    j_text = functools.cache(lambda j: _indices_json(indices_of(j)))
     l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
     l_text = functools.cache(lambda l_masks: _json_list([l_entry(l) for l in l_masks], "      "))
-    sep = "\n"
     for qs, ls, js, lhs, rhs, gaps in residuals.column_chunks(_CHUNK_ROWS):
-        yield sep + ",\n".join([
+        yield [
             f'    {{\n      "J": {j_text(j)},\n      "L": {l_text(tuple(l[:q]))},\n'
             f'      "gap": {_json_float(gap)},\n      "lhs": {_json_float(a)},\n'
             f'      "q": {q},\n      "rhs": {_json_float(b)}\n    }}'
             for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)
-        ])
-        sep = ",\n"
+        ]
+
+
+def _entry_json_chunks(entries, row):
+    """``row`` of each entry, a list of texts per ``_CHUNK_ROWS`` entries."""
+    for start in range(0, len(entries), _CHUNK_ROWS):
+        yield [row(entry) for entry in entries[start:start + _CHUNK_ROWS]]
+
+
+def _atom_json(atom) -> str:
+    return f'    {{\n      "eta": {_json_float(atom["eta"])},\n      "subset": {_indices_json(atom["subset"])}\n    }}'
+
+
+def _total_json(total) -> str:
+    return f'    {{\n      "K": {_indices_json(total["K"])},\n      "f1": {_json_float(total["f1"])}\n    }}'
+
+
+# the row lists of the documents: each gives a list of row texts per chunk
+_ROW_LISTS = {
+    "atoms": functools.partial(_entry_json_chunks, row=_atom_json),
+    "totals": functools.partial(_entry_json_chunks, row=_total_json),
+    "residuals": _residual_json_chunks,
+}
 
 
 def _residual_csv_chunks(residuals):
@@ -505,22 +521,22 @@ def _nested_json(value) -> str:
 def _write_document(doc: dict, config: argparse.Namespace) -> None:
     """Stream the document to ``config.out`` without building its text first.
 
-    A ``diagram`` JSON document goes through ``json.dump``.  A ``verify``
-    document holds the sweep's residual columns (``report.residuals``).  Its
-    JSON is ``metadata`` and ``summary`` from ``json.dumps`` around residual
-    rows written by hand from the columns in the fixed key order
-    ``J, L, gap, lhs, q, rhs``, with each float as json writes it
-    (``float.__repr__``, or ``NaN``, ``Infinity`` and ``-Infinity``): the
-    bytes that ``json.dump(..., sort_keys=True, indent=2)`` gives the
-    :func:`_residual_row` dicts.  Its CSV is one line per residual.  The
-    rows are formatted ``_CHUNK_ROWS`` at a time, one ``tolist`` per column,
-    and each chunk goes to the handle as one ``write``.
+    Every JSON document, ``diagram``, ``verify`` and ``examples`` alike, has
+    the bytes of ``json.dump(doc, sort_keys=True, indent=2)`` plus a
+    newline.  Its top-level keys are written in sorted order.  The row
+    lists ``atoms``, ``totals`` and ``residuals`` are written by hand in
+    their fixed key orders (``eta, subset``; ``K, f1``; ``J, L, gap, lhs,
+    q, rhs``), each float as json writes it (``float.__repr__``, or
+    ``NaN``, ``Infinity`` and ``-Infinity``); a ``verify`` document's
+    ``residuals`` are the sweep's residual columns (``report.residuals``),
+    read without building a :class:`Residual` or a dict per row.  Any other
+    value goes through ``json.dumps``.  A CSV document is one line per atom
+    (``diagram``) or per residual (``verify``).  JSON rows and residual CSV
+    lines are formatted ``_CHUNK_ROWS`` at a time, and each chunk goes to
+    the handle as one ``write``.
     """
-    if config.fmt != "csv" and config.command != "verify":
-        _write_json(doc, config.out)
-        return
     with _output(config.out) as fh:
-        if config.command == "diagram":
+        if config.fmt == "csv" and config.command == "diagram":
             fh.write("subset,eta\n")
             for entry in doc["atoms"]:
                 fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
@@ -529,10 +545,19 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
             for chunk in _residual_csv_chunks(doc["residuals"]):
                 fh.write(chunk)
         else:
-            fh.write('{\n  "metadata": ' + _nested_json(doc["metadata"]) + ',\n  "residuals": [')
-            for chunk in _residual_json_chunks(doc["residuals"]):
-                fh.write(chunk)
-            fh.write('\n  ],\n  "summary": ' + _nested_json(doc["summary"]) + "\n}\n")
+            sep = "{\n  "
+            for key in sorted(doc):
+                fh.write(sep + json.dumps(key) + ": ")
+                if key in _ROW_LISTS:  # a row list is never empty: its "]" goes on a line of its own
+                    row_sep = "[\n"
+                    for rows in _ROW_LISTS[key](doc[key]):
+                        fh.write(row_sep + ",\n".join(rows))
+                        row_sep = ",\n"
+                    fh.write("\n  ]")
+                else:
+                    fh.write(_nested_json(doc[key]))
+                sep = ",\n  "
+            fh.write("\n}\n")
 
 
 def _add_instance_options(sub: argparse.ArgumentParser) -> None:
@@ -566,6 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     examples.add_argument("--tol", type=float, default=DEFAULT_TOL)
     examples.add_argument("--seed", type=int, default=0)
     examples.add_argument("--out", default="-")
+    examples.set_defaults(fmt="json")
 
     render = sub.add_parser("render", help="draw a diagram document as an SVG Venn diagram")
     render.add_argument("document", help="JSON document produced by the diagram subcommand")
@@ -609,7 +635,7 @@ def main(argv=None) -> int:
             return code
         if config.command == "examples":
             doc, code = cmd_examples(config)
-            _write_json(doc, config.out)
+            _write_document(doc, config)
             if code != EXIT_OK:
                 print(f"example {config.name!r} failed: value {doc['value']!r} vs expected "
                       f"{doc['expected']!r}", file=sys.stderr)

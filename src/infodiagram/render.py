@@ -38,16 +38,15 @@ def render_venn(document: dict) -> str:
     """Render a diagram document (as produced by the CLI) to SVG text.
 
     Each Venn cell is labeled with its atom subset and its value to six
-    significant digits.  Only n = 2 and n = 3 are drawable.
+    significant digits.  Only n = 2 and n = 3 are drawable; a document of
+    any other shape is a DomainError.
     """
-    meta = document.get("metadata", {})
-    generators = meta.get("generators", [])
-    n = int(meta.get("n", len(generators)))
-    if n not in (2, 3):
-        raise DomainError(f"rendering supports n=2,3 only, got n={n}")
-    atoms = document.get("atoms", [])
-    if len(atoms) != (1 << n) - 1:
-        raise DomainError(f"document has {len(atoms)} atoms, expected {(1 << n) - 1}")
+    try:
+        title, generators, n, cells = _read_document(document)
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed diagram document ({type(exc).__name__}: {exc})") from None
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -55,24 +54,19 @@ def render_venn(document: dict) -> str:
         'viewBox="0 0 640 480" font-family="monospace">',
         '<rect width="640" height="480" fill="white"/>',
     ]
-    title = meta.get("instance", "diagram")
-    lines.append(f'<text x="20" y="28" font-size="16">{_esc(str(title))} information diagram</text>')
+    lines.append(f'<text x="20" y="28" font-size="16">{_esc(title)} information diagram</text>')
     for i, (cx, cy, r) in enumerate(_CIRCLES[n]):
         fill = _FILLS[i % len(_FILLS)]
         lines.append(
             f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{fill}" fill-opacity="0.16" '
             'stroke="black" stroke-width="1.5"/>'
         )
-    for i, name in enumerate(generators[:n]):
+    for i, name in enumerate(generators):
         lines.append(
             f'<text x="20" y="{452 - 18 * (n - 1 - i)}" font-size="12">'
-            f'{i + 1}: {_esc(str(name))}</text>'
+            f'{i + 1}: {_esc(name)}</text>'
         )
-    for entry in atoms:
-        subset = tuple(entry["subset"])
-        value = float(entry["eta"])
-        if subset not in _CELL_XY[n]:
-            raise DomainError(f"unexpected atom subset {list(subset)} for n={n}")
+    for subset, value in cells:
         x, y = _CELL_XY[n][subset]
         label = "".join(str(i) for i in subset)
         lines.append(
@@ -84,6 +78,27 @@ def render_venn(document: dict) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _read_document(document):
+    """The title, the first n generator names, n and the (subset, value)
+    cells of a diagram document."""
+    meta = document.get("metadata", {})
+    generators = meta.get("generators", [])
+    n = int(meta.get("n", len(generators)))
+    if n not in (2, 3):
+        raise DomainError(f"rendering supports n=2,3 only, got n={n}")
+    atoms = document.get("atoms", [])
+    if len(atoms) != (1 << n) - 1:
+        raise DomainError(f"document has {len(atoms)} atoms, expected {(1 << n) - 1}")
+    cells = []
+    for entry in atoms:
+        subset = tuple(entry["subset"])
+        value = float(entry["eta"])
+        if subset not in _CELL_XY[n]:
+            raise DomainError(f"unexpected atom subset {list(subset)} for n={n}")
+        cells.append((subset, value))
+    return str(meta.get("instance", "diagram")), [str(name) for name in generators[:n]], n, cells
 
 
 def _esc(text: str) -> str:

@@ -51,18 +51,28 @@ class SetFunction:
     def from_mapping(cls, n: int, mapping) -> "SetFunction":
         """Build from a mapping keyed by bitmask or by iterable of 1-based indices."""
         _check_n(n)  # before the 2**n subsets are walked
-        values = {}
-        for key, val in mapping.items():
-            mask = key if isinstance(key, int) else mask_of(key)
-            if mask < 0 or mask >= (1 << n):
-                raise DomainError(f"subset key {key!r} is not a subset of 1..{n}")
-            if mask in values:
-                raise DomainError(f"duplicate subset key {key!r}")
-            values[mask] = val
-        missing = [m for m in range(1 << n) if m not in values]
-        if missing:
-            raise DomainError(f"set function is not total: missing subset {indices_of(missing[0])}")
-        return cls(n=n, values=tuple(values[m] for m in range(1 << n)))
+        entries = ((key, key if isinstance(key, int) else mask_of(key), val) for key, val in mapping.items())
+        return cls(n=n, values=_subset_values(n, entries, "set function"))
+
+
+def _subset_values(n: int, entries, what: str) -> tuple:
+    """The values of a table keyed by subsets of 1..n, in mask order.
+
+    ``entries`` yields ``(key, mask, value)``.  A mask outside the subsets
+    of 1..n, a mask met twice or a missing subset is a DomainError naming
+    the key, or naming the first missing subset of ``what``.
+    """
+    values = {}
+    for key, mask, val in entries:
+        if not 0 <= mask < 1 << n:
+            raise DomainError(f"subset key {key!r} is out of range 1..{n}")
+        if mask in values:
+            raise DomainError(f"duplicate subset key {key!r}")
+        values[mask] = val
+    if len(values) < 1 << n:
+        missing = next(m for m in range(1 << n) if m not in values)
+        raise DomainError(f"{what} is not total; missing subset {list(indices_of(missing))}")
+    return tuple(values[m] for m in range(1 << n))
 
 
 def entropy_setfunction(p: Dist, gens, base: str = "nats") -> SetFunction:

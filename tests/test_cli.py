@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import json
@@ -34,6 +35,20 @@ def atom_value(doc, subset):
         if entry["subset"] == list(subset):
             return entry["eta"]
     raise AssertionError(f"no atom {subset} in document")
+
+
+def _capture_documents(monkeypatch, name):
+    """The documents ``cli.<name>`` hands to the writer, in call order."""
+    docs = []
+    real = getattr(cli, name)
+
+    def capture(config):
+        result = real(config)
+        docs.append(result[0] if isinstance(result, tuple) else result)
+        return result
+
+    monkeypatch.setattr(cli, name, capture)
+    return docs
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +87,52 @@ def test_diagram_independent_columns(tmp_path, capsys):
     assert atom_value(doc, (1, 2)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_diagram_roundtrip_bit_exact(tmp_path, capsys):
-    csv_path = write(tmp_path, "r.csv", "A,B,__weight\n0,0,3\n0,1,1\n1,0,2\n1,1,1.5\n")
+def _diagram_inputs(tmp_path, case):
+    """Input arguments of a small two-generator diagram of an instance kind,
+    or of a set function whose totals include -0.0."""
+    table = write(tmp_path, "p.csv", "A,B,__weight\n0,0,3\n0,1,1\n1,0,2\n1,1,1.5\n")
+    other = write(tmp_path, "q.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n1,1\n")
+    values = {"": 0.0, "1": -0.0, "2": 0.5, "1 2": 0.25} if case == "setfun-negative-zero" else \
+        {"": 0.0, "1": 1.0, "2": 1.0, "1 2": 1.5}
+    kind = "setfun" if case == "setfun-negative-zero" else case
+    inputs = {
+        "shannon": [table],
+        "tsallis": [table, "--alpha", "0.5"],
+        "kl": [table, other],
+        "alpha-kl": [table, other, "--alpha", "0.5"],
+        "cross-entropy": [table, other],
+        "setfun": [write(tmp_path, "sf.json", json.dumps({"n": 2, "values": values}))],
+        "advantage": [write(tmp_path, "ev.json", json.dumps({"n": 2, "errors": {"": 1, "1": 1, "2": 1, "1 2": 0}}))],
+        "compressor": [write(tmp_path, "a.txt", "abc" * 20), write(tmp_path, "b.txt", "xyz" * 9)],
+    }[kind]
+    return [*inputs, "--instance", kind]
+
+
+@pytest.mark.parametrize("command, case", [
+    *(("diagram", kind) for kind in cli.KINDS),
+    ("diagram", "setfun-negative-zero"),
+    *(("examples", name) for name in cli.EXAMPLE_NAMES),
+])
+def test_diagram_roundtrip_bit_exact(tmp_path, capsys, monkeypatch, command, case):
+    # every JSON document is written by hand; its bytes are those json.dump
+    # gives the returned document, to stdout and to a file alike
+    docs = _capture_documents(monkeypatch, f"cmd_{command}")
+    argv = [command, *(_diagram_inputs(tmp_path, case) if command == "diagram" else [case])]
     out_path = tmp_path / "doc.json"
-    code, _, _ = run(capsys, "diagram", csv_path, "--instance", "shannon", "--out", str(out_path))
-    assert code == 0
-    text = out_path.read_text()
-    doc = json.loads(text)
-    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
-    # serialize-parse keeps every float bit-exact
-    again = json.loads(json.dumps(doc, sort_keys=True))
-    assert [a["eta"] for a in again["atoms"]] == [a["eta"] for a in doc["atoms"]]
+    code, out, _ = run(capsys, *argv)
+    assert (code, run(capsys, *argv, "--out", str(out_path))[0]) == (0, 0)
+    assert len(docs) == 2
+    for doc, text in zip(docs, (out, out_path.read_text(encoding="utf-8"))):
+        fh = io.StringIO()
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        assert text == fh.getvalue() + "\n"
+    if command == "diagram":
+        # serialize-parse keeps every float bit-exact, the sign of zero included
+        again = json.loads(out)
+        assert [repr(a["eta"]) for a in again["atoms"]] == [repr(a["eta"]) for a in docs[0]["atoms"]]
+        assert [repr(t["f1"]) for t in again["totals"]] == [repr(t["f1"]) for t in docs[0]["totals"]]
+    if case == "setfun-negative-zero":
+        assert '"f1": -0.0' in out
 
 
 def test_diagram_csv_format(tmp_path, capsys):
@@ -140,6 +190,23 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
         sf_path = write(tmp_path, "sf.json", '{"n": 1, "%s": {"": 0, "1": NaN}}' % field)
         code, out, _ = run(capsys, "diagram", sf_path, "--instance", kind)
         assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("kind, content", [
+    pytest.param("shannon", b"A,B\n0,\xff\n", id="csv-not-utf8"),
+    pytest.param("setfun", b'{"n": 1, "values": {"": 0, "1": "\xff"}}', id="setfun-not-utf8"),
+    pytest.param(None, b'{"metadata": {"n": 2, "instance": "\xff"}}', id="render-not-utf8"),
+    pytest.param("shannon", b"A\n" + b"x" * (csv.field_size_limit() + 1) + b"\n", id="csv-field-past-limit"),
+    pytest.param("setfun", b'{"n": 1, "values": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="json-nested-too-deep"),
+])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, kind, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = ["render", str(path), str(tmp_path / "out.svg")] if kind is None else \
+        ["diagram", str(path), "--instance", kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ingestion error: {path}: ")
 
 
 @pytest.mark.parametrize("bad", ["-1", "nan", "heavy"])
@@ -361,20 +428,6 @@ def _verify_inputs(tmp_path, family, n):
     return [write(tmp_path, "sf.json", json.dumps({"n": n, "values": values})), "--instance", "setfun"]
 
 
-def _capture_verify_documents(monkeypatch):
-    """The documents ``cmd_verify`` hands to the writer, in call order."""
-    docs = []
-    real = cli.cmd_verify
-
-    def capture(config):
-        doc, code = real(config)
-        docs.append(doc)
-        return doc, code
-
-    monkeypatch.setattr(cli, "cmd_verify", capture)
-    return docs
-
-
 def _old_rows(residuals):
     """One dict per residual, as the verify document used to hold them."""
     return [{"q": r.q, "L": [list(indices_of(l)) for l in r.l_masks], "J": list(indices_of(r.j_mask)),
@@ -411,7 +464,7 @@ def _verify_both_ways(tmp_path, capsys, argv, fmt="json"):
 def test_verify_document_matches_json_dump_of_the_rows(tmp_path, capsys, monkeypatch, family, n, q_max):
     # the rows are written by hand; their bytes are those json.dump gives
     # the old one-dict-per-row document, to stdout and to a file alike
-    docs = _capture_verify_documents(monkeypatch)
+    docs = _capture_documents(monkeypatch, "cmd_verify")
     argv = [*_verify_inputs(tmp_path, family, n), "--qmax", str(q_max)]
     code, out = _verify_both_ways(tmp_path, capsys, argv)
     assert code == 0
@@ -438,7 +491,7 @@ def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, 
         return report
 
     monkeypatch.setattr(cli, "verify_hu", special_sweep)
-    docs = _capture_verify_documents(monkeypatch)
+    docs = _capture_documents(monkeypatch, "cmd_verify")
     argv = [write(tmp_path, "xor.csv", XOR_CSV), "--instance", "shannon"]
     code, out = _verify_both_ways(tmp_path, capsys, argv)
     assert code == 4
@@ -536,6 +589,27 @@ def test_render_rejects_other_sizes(tmp_path, capsys):
     code, _, err = run(capsys, "render", str(doc_path), str(tmp_path / "no.svg"))
     assert code == 2
     assert "n=2,3" in err
+
+
+_ATOMS3 = [{"subset": [1], "eta": 0.5}, {"subset": [2], "eta": 0.5}, {"subset": [1, 2], "eta": 0.0}]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param([_ATOMS3], id="top-level-list"),
+    pytest.param({"metadata": {"n": "x"}, "atoms": _ATOMS3}, id="n-not-an-integer"),
+    pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {}]}, id="atom-without-subset-or-eta"),
+    pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {"subset": [1, 2], "eta": "a"}]},
+                 id="eta-not-a-number"),
+    pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {"subset": [[1], 2], "eta": 0.0}]},
+                 id="nested-list-in-subset"),
+])
+def test_render_rejects_malformed_documents(tmp_path, capsys, doc):
+    doc_path = write(tmp_path, "doc.json", json.dumps(doc))
+    svg_path = tmp_path / "no.svg"
+    code, out, err = run(capsys, "render", doc_path, str(svg_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ingestion error: malformed diagram document (")
+    assert not svg_path.exists()
 
 
 def test_xor_diagram_has_no_negative_zero(tmp_path, capsys):

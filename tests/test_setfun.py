@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,12 @@ def test_from_mapping_rejects_bad_and_repeated_keys():
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 2.0, (2, 1): 3.0})
     with pytest.raises(DomainError, match="duplicate subset key 3"):
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 2.0, 3: 3.0})
+    # the checks and messages shared with the CLI's subset tables
+    for key in (4, -1, (3,)):
+        with pytest.raises(DomainError, match=rf"subset key {re.escape(repr(key))} is out of range 1\.\.2"):
+            SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, key: 2.0})
+    with pytest.raises(DomainError, match=r"^set function is not total; missing subset \[1, 2\]$"):
+        SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0})
 
 
 # ---------------------------------------------------------------------------
