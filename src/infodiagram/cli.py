@@ -277,8 +277,9 @@ def _verification_summary(report) -> dict:
     }
 
 
-def cmd_diagram(config: argparse.Namespace) -> dict:
-    """Compute atom values, joint totals and a verification summary."""
+def cmd_diagram(config: argparse.Namespace):
+    """Atom values, joint totals and a verification summary; returns
+    (document, None), and raises before any write when a check fails."""
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
     if not report.passed:
@@ -308,11 +309,11 @@ def cmd_diagram(config: argparse.Namespace) -> dict:
         "atoms": atom_entries,
         "totals": totals,
         "verification": _verification_summary(report),
-    }
+    }, None
 
 
 def cmd_verify(config: argparse.Namespace):
-    """Full residual table; returns (document, exit_code).
+    """Full residual table; returns (document, failure text or None).
 
     The document's ``residuals`` is ``report.residuals`` itself, the
     sweep's residual columns: :func:`_write_document` writes each check as
@@ -327,12 +328,9 @@ def cmd_verify(config: argparse.Namespace):
         "summary": _verification_summary(report),
         "residuals": report.residuals,
     }
-    return doc, (EXIT_OK if report.passed else EXIT_VERIFY)
-
-
-def _xor_shannon(base: str = "bits"):
-    dist, gens = empirical_from_rows(_XOR_ROWS)
-    return shannon_instance(dist, gens, base)
+    if report.passed:
+        return doc, None
+    return doc, f"verification failed: max residual {report.max_residual:.3e} > tolerance {config.tol:.1e}"
 
 
 def _bsc_pair(epsilon: float):
@@ -352,11 +350,12 @@ def _bsc_pair(epsilon: float):
 
 
 def cmd_examples(config: argparse.Namespace):
-    """Built-in constructions with known values; returns (document, exit_code)."""
+    """Built-in constructions with known values; returns (document, failure text or None)."""
     name = config.name
     tol = config.tol
     if name == "xor-i3":
-        inst = _xor_shannon("bits")
+        dist, gens = empirical_from_rows(_XOR_ROWS)
+        inst = shannon_instance(dist, gens, "bits")
         value = interaction(inst, (1, 2, 4), 0)
         expected = -1.0
         detail = {"construction": "uniform XOR triple, base 2", "term": "degree-3 interaction of X, Y, Z"}
@@ -410,7 +409,9 @@ def cmd_examples(config: argparse.Namespace):
         "passed": gap <= tol,
         "detail": detail,
     }
-    return doc, (EXIT_OK if doc["passed"] else EXIT_VERIFY)
+    if doc["passed"]:
+        return doc, None
+    return doc, f"example {name!r} failed: value {value!r} vs expected {expected!r}"
 
 
 def cmd_render(config: argparse.Namespace) -> str:
@@ -601,6 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if args.command != "render" and not args.tol >= 0:  # NaN compares false
+        parser.error(f"--tol must be a nonnegative number, got {args.tol!r}")
     if args.command in ("diagram", "verify"):
         if args.kind in ALPHA_KINDS and args.alpha is None:
             parser.error(f"--alpha is required for --instance {args.kind}")
@@ -622,30 +625,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if config.command == "diagram":
-            doc = cmd_diagram(config)
-            _write_document(doc, config)
-            return EXIT_OK
-        if config.command == "verify":
-            doc, code = cmd_verify(config)
-            _write_document(doc, config)
-            if code != EXIT_OK:
-                print(f"verification failed: max residual {doc['summary']['max_residual']:.3e} "
-                      f"> tolerance {config.tol:.1e}", file=sys.stderr)
-            return code
-        if config.command == "examples":
-            doc, code = cmd_examples(config)
-            _write_document(doc, config)
-            if code != EXIT_OK:
-                print(f"example {config.name!r} failed: value {doc['value']!r} vs expected "
-                      f"{doc['expected']!r}", file=sys.stderr)
-            return code
         if config.command == "render":
             svg = cmd_render(config)
             with _output(config.out) as fh:
                 fh.write(svg)
             return EXIT_OK
-        raise IngestionError(f"unknown command {config.command!r}")
+        command = {"diagram": cmd_diagram, "verify": cmd_verify, "examples": cmd_examples}[config.command]
+        doc, failure = command(config)
+        _write_document(doc, config)
+        if failure is None:
+            return EXIT_OK
+        print(failure, file=sys.stderr)
+        return EXIT_VERIFY
     except (IngestionError, OSError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGEST

@@ -126,6 +126,18 @@ def _check_element(mask: int, n: int, what: str = "element") -> None:
         raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
 
 
+def _check_term(l_masks, j_mask: int, n: int) -> tuple:
+    """``l_masks`` as a tuple, checked with ``j_mask`` as the arguments of a
+    conditional interaction term of degree ``len(l_masks) >= 1``."""
+    l_masks = tuple(l_masks)
+    if not l_masks:
+        raise DomainError("interaction needs at least one argument (q >= 1)")
+    for l in l_masks:
+        _check_element(l, n, "interaction")
+    _check_element(j_mask, n, "conditioning")
+    return l_masks
+
+
 def mask_of(indices) -> int:
     """Bitmask of a collection of 1-based generator indices."""
     mask = 0
@@ -177,12 +189,7 @@ def hu_region(l_masks, j_mask: int, n: int) -> int:
     ``a & l != 0`` for every ``l`` and ``a & j == 0``.
     """
     _check_n(n)
-    l_masks = tuple(l_masks)
-    if not l_masks:
-        raise DomainError("hu_region needs at least one interaction argument (q >= 1)")
-    for l in l_masks:
-        _check_element(l, n, "interaction")
-    _check_element(j_mask, n, "conditioning")
+    l_masks = _check_term(l_masks, j_mask, n)
     region = 0
     for a in range(1, 1 << n):
         if a & j_mask:
@@ -194,14 +201,8 @@ def hu_region(l_masks, j_mask: int, n: int) -> int:
 
 def region_atoms(region: int) -> list[int]:
     """Atoms of a region bitset, in ascending mask order."""
-    out = []
-    a = 1
-    while region:
-        if region & 1:
-            out.append(a)
-        region >>= 1
-        a += 1
-    return out
+    # bit a - 1 names atom a, as bit i - 1 names generator i
+    return list(indices_of(region))
 
 
 def _submasks_ascending(mask: int) -> list[int]:
@@ -388,12 +389,7 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
     degree-q term makes 2**(q - 1) calls of the memoized ``k1``.  The
     arguments are sorted first, which canonicalizes their order.
     """
-    l_masks = tuple(l_masks)
-    if not l_masks:
-        raise DomainError("interaction needs at least one argument (q >= 1)")
-    for l in l_masks:
-        _check_element(l, inst.n, "interaction")
-    _check_element(j_mask, inst.n, "conditioning")
+    l_masks = _check_term(l_masks, j_mask, inst.n)
     return _interaction_rec(inst, tuple(sorted(l_masks)), j_mask)
 
 
@@ -413,13 +409,8 @@ def interaction_incl_excl(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> 
     the two must agree within tolerance, which makes this an oracle for the
     recursion and vice versa.
     """
-    l_masks = tuple(l_masks)
+    l_masks = _check_term(l_masks, j_mask, inst.n)
     q = len(l_masks)
-    if q == 0:
-        raise DomainError("interaction needs at least one argument (q >= 1)")
-    for l in l_masks:
-        _check_element(l, inst.n, "interaction")
-    _check_element(j_mask, inst.n, "conditioning")
     total = 0.0
     for kset in range(1 << q):
         y = 0

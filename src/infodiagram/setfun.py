@@ -51,8 +51,20 @@ class SetFunction:
     def from_mapping(cls, n: int, mapping) -> "SetFunction":
         """Build from a mapping keyed by bitmask or by iterable of 1-based indices."""
         _check_n(n)  # before the 2**n subsets are walked
-        entries = ((key, key if isinstance(key, int) else mask_of(key), val) for key, val in mapping.items())
+        entries = ((key, _key_mask(key, n), val) for key, val in mapping.items())
         return cls(n=n, values=_subset_values(n, entries, "set function"))
+
+
+def _key_mask(key, n: int) -> int:
+    """The mask of a bitmask or an iterable of 1-based indices, or -1, a
+    mask the range check refuses, when an index lies past ``n``; the mask of
+    such an index, 2**index, is never built."""
+    if isinstance(key, int):
+        return key
+    indices = tuple(key)
+    within = [i for i in indices if not (isinstance(i, int) and i > n)]
+    mask = mask_of(within)  # refuses an index that is not a positive int
+    return mask if len(within) == len(indices) else -1
 
 
 def _subset_values(n: int, entries, what: str) -> tuple:

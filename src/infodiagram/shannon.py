@@ -110,8 +110,8 @@ class RandomVariable:
 
     The partition is coded once, on first use: ``_coded`` is the distinct
     labels in first-occurrence order and the code of each point, and
-    :meth:`values`, :func:`marginal`, :func:`condition` and :func:`refines`
-    all read it.
+    :meth:`values`, :func:`marginal`, :func:`condition`, :func:`refines`
+    and :func:`equivalent` all read it.
     """
 
     labels: tuple
@@ -246,7 +246,8 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
 def equivalent(x: RandomVariable, y: RandomVariable) -> bool:
     """True iff the two variables induce the same partition of the space."""
     _check_same_size(x, y)
-    return x.partition() == y.partition()
+    # first-occurrence codes number a partition's blocks canonically
+    return np.array_equal(x._coded[1], y._coded[1])
 
 
 def refines(x: RandomVariable, y: RandomVariable) -> bool:

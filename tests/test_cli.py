@@ -317,6 +317,24 @@ def test_verify_setfun_passes(tmp_path, capsys):
     assert len(report["residuals"]) == report["summary"]["checks"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["examples", "xor-i3", "--tol", "-1"],
+    ["examples", "xor-i3", "--tol", "nan"],
+    ["diagram", "XOR", "--instance", "shannon", "--tol", "nan"],
+    ["verify", "XOR", "--instance", "shannon", "--tol", "-0.5"],
+])
+def test_negative_or_nan_tolerance_is_a_usage_error(tmp_path, capsys, argv):
+    # every check would fail against such a tolerance, with a misleading message
+    xor_path = write(tmp_path, "xor.csv", XOR_CSV)
+    *args, tol = [xor_path if arg == "XOR" else arg for arg in argv]
+    code, out, err = run(capsys, *args, tol)
+    assert (code, out) == (2, "")
+    assert f"--tol must be a nonnegative number, got {float(tol)!r}" in err
+    # zero and infinity stay valid; the XOR values are exact
+    for valid in ("0", "inf"):
+        assert run(capsys, *args, valid)[0] == 0
+
+
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
     # non-dyadic weights leave float roundoff in some identity, so tolerance 0
     # must fail; the XOR sweep is exact and would pass

@@ -100,6 +100,23 @@ def test_hu_region_examples():
         hu_region((), 0, 3)
 
 
+@pytest.mark.parametrize("l_masks, j_mask, message", [
+    ((), 0, "interaction needs at least one argument (q >= 1)"),
+    ((0b01, 0b100), 0, "interaction mask 4 is not a subset of 1..2"),
+    ((0b01,), 0b100, "conditioning mask 4 is not a subset of 1..2"),
+])
+def test_term_functions_refuse_bad_arguments_alike(l_masks, j_mask, message):
+    inst = random_r1(np.random.default_rng(12), 2)
+    for term in (
+        lambda: interaction(inst, l_masks, j_mask),
+        lambda: interaction_incl_excl(inst, l_masks, j_mask),
+        lambda: hu_region(l_masks, j_mask, 2),
+    ):
+        with pytest.raises(DomainError) as info:
+            term()
+        assert str(info.value) == message
+
+
 @settings(max_examples=200)
 @given(
     n=st.integers(1, 5),

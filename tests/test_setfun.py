@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,9 +87,16 @@ def test_from_mapping_rejects_bad_and_repeated_keys():
     with pytest.raises(DomainError, match="duplicate subset key 3"):
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 2.0, 3: 3.0})
     # the checks and messages shared with the CLI's subset tables
-    for key in (4, -1, (3,)):
-        with pytest.raises(DomainError, match=rf"subset key {re.escape(repr(key))} is out of range 1\.\.2"):
-            SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, key: 2.0})
+    # an index far past n is refused without building its 2**index mask
+    for key in (4, -1, (3,), (10 ** 8,)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"subset key {re.escape(repr(key))} is out of range 1\.\.2"):
+                SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, key: 2.0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
     with pytest.raises(DomainError, match=r"^set function is not total; missing subset \[1, 2\]$"):
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0})
 

@@ -389,6 +389,7 @@ def test_coded_partition_matches_label_scans_bit_for_bit():
                     function = False
                     break
             assert refines(a, b) is function
+            assert equivalent(a, b) == (a.partition() == b.partition())
 
 
 def test_condition_agrees_with_marginal_on_a_self_unequal_label():
@@ -401,6 +402,12 @@ def test_condition_agrees_with_marginal_on_a_self_unequal_label():
     assert refines(x, x)
     with pytest.raises(DomainError, match="is not a label"):
         condition(p, x, float("nan"))  # an equal-looking but distinct NaN object
+    # 1, True and 1.0 are one label; two distinct NaN objects are two
+    distinct_nans = RandomVariable(labels=(float("nan"), float("nan"), 1.0, 1, True))
+    for a, b, same in ((x, RandomVariable(labels=(0, 0, 1, 1, 1)), True), (x, distinct_nans, False),
+                       (distinct_nans, RandomVariable(labels=(0, 1, 2, 2, 2)), True)):
+        assert equivalent(a, b) == (a.partition() == b.partition())
+        assert equivalent(a, b) is same
 
 
 def test_sample_point_coding_stops_at_the_first_point_past_the_cap():
