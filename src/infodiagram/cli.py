@@ -83,7 +83,7 @@ def read_table(path: str):
     row, optional ``__weight`` column.  Returns (names, rows, weights)."""
     delimiter = "\t" if str(path).endswith(".tsv") else ","
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             raw = list(csv.reader(fh, delimiter=delimiter))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's limit
         raise IngestionError(f"{path}: {exc}") from exc
@@ -91,6 +91,8 @@ def read_table(path: str):
     if len(raw) < 2:
         raise IngestionError(f"{path}: need a header row and at least one sample row")
     header = [name.strip() for name in raw[0]]
+    if header.count("__weight") > 1:
+        raise IngestionError(f"{path}: more than one __weight column")
     weight_col = header.index("__weight") if "__weight" in header else None
     names = [name for i, name in enumerate(header) if i != weight_col]
     if not names:
@@ -199,21 +201,6 @@ def read_blobs(paths):
 def build_instance(config: argparse.Namespace):
     """Construct the configured instance; returns (instance, generator names)."""
     kind = config.kind
-    if kind == "shannon":
-        names, rows, weights = read_table(config.inputs[0])
-        dist, gens = empirical_from_rows(rows, weights)
-        return shannon_instance(dist, gens, config.base), names
-    if kind == "tsallis":
-        names, rows, weights = read_table(config.inputs[0])
-        dist, gens = empirical_from_rows(rows, weights)
-        return tsallis_instance(dist, gens, config.alpha), names
-    if kind in PAIR_KINDS:
-        pair, gens, names = paired_empirical(config.inputs[0], config.inputs[1])
-        if kind == "kl":
-            return kl_instance(pair, gens, config.base), names
-        if kind == "cross-entropy":
-            return cross_entropy_instance(pair, gens, config.base), names
-        return alpha_kl_instance(pair, gens, config.alpha), names
     if kind == "setfun":
         fn, names = read_setfunction(config.inputs[0])
         return r1_instance(fn), names
@@ -227,7 +214,14 @@ def build_instance(config: argparse.Namespace):
         inst.meta["kind"] = "compression-based information function"
         inst.meta["compressor"] = COMPRESSOR_ID
         return inst, names
-    raise IngestionError(f"unknown instance kind {kind!r}")
+    if kind in PAIR_KINDS:
+        ctx, gens, names = paired_empirical(*config.inputs)
+    else:
+        names, rows, weights = read_table(config.inputs[0])
+        ctx, gens = empirical_from_rows(rows, weights)
+    builder = {"shannon": shannon_instance, "tsallis": tsallis_instance, "kl": kl_instance,
+               "cross-entropy": cross_entropy_instance, "alpha-kl": alpha_kl_instance}[kind]
+    return builder(ctx, gens, config.alpha if kind in ALPHA_KINDS else config.base), names
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +330,8 @@ def cmd_verify(config: argparse.Namespace):
 def _bsc_pair(epsilon: float):
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
-    points = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
-    p = Dist(masses=np.full(4, 0.25), points=points)
-    q = Dist(
-        masses=np.array([(1 - epsilon) / 2, epsilon / 2, epsilon / 2, (1 - epsilon) / 2]),
-        points=points,
-    )
-    gens = [
-        RandomVariable(labels=tuple(pt[0] for pt in points), name="X"),
-        RandomVariable(labels=tuple(pt[1] for pt in points), name="Y"),
-    ]
+    p, gens = empirical_from_rows([("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")])
+    q = Dist(masses=np.array([(1 - epsilon) / 2, epsilon / 2, epsilon / 2, (1 - epsilon) / 2]), points=p.points)
     return DistPair(p=p, q=q), gens
 
 
@@ -616,10 +602,29 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
             parser.error(f"--instance {args.kind} takes exactly one input file")
 
 
+# options whose value may be negative: argparse takes "-1e-3" after one of
+# them for an option, so main passes it on as "--alpha=-1e-3"
+_NUMBER_OPTIONS = ("--alpha", "--tol", "--epsilon")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    args = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if args and args[-1] in _NUMBER_OPTIONS and arg.startswith("-") and _is_float(arg):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
     try:
-        config = parser.parse_args(argv)
+        config = parser.parse_args(args)
         _check_args(config, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -490,23 +490,19 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     else:
         rng = random.Random(seed)
         pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
-    max_gap = 0.0
+    gaps = [0.0]
     violations = []
     seen_neutral = set()
     for y, z in pairs:
         if z not in seen_neutral:
             seen_neutral.add(z)
-            gap = abs(inst.k1c(0, z))
-            if _worse(gap, max_gap):
-                max_gap = gap
-            if not gap <= tol:
-                violations.append((0, z, gap))
-        gap = abs(inst.total(y | z) - inst.total(y) - inst.k1c(z, y))
-        if _worse(gap, max_gap):
-            max_gap = gap
-        if not gap <= tol:
-            violations.append((y, z, gap))
-    return max_gap, violations
+            gaps.append(abs(inst.k1c(0, z)))
+            if not gaps[-1] <= tol:
+                violations.append((0, z, gaps[-1]))
+        gaps.append(abs(inst.total(y | z) - inst.total(y) - inst.k1c(z, y)))
+        if not gaps[-1] <= tol:
+            violations.append((y, z, gaps[-1]))
+    return gaps[_worst_index(gaps)], violations
 
 
 def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
@@ -525,13 +521,13 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     rng = random.Random(seed)
     size = 1 << inst.n
     ev = inst.evaluate
-    worst = (0.0, "nothing checked")
+    checked = [(0.0, "nothing checked")]
     for _ in range(samples):
         x = rng.randrange(size)
         y = rng.randrange(size)
         f = inst.f1(rng.randrange(size))
         g = inst.f1(rng.randrange(size))
-        checks = (
+        checked += (
             (abs(ev(inst.action(f, 0)) - ev(f)), "neutral action"),
             (abs(ev(inst.action(inst.action(f, y), x)) - ev(inst.action(f, x | y))),
              "action associativity"),
@@ -542,17 +538,10 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
             (abs(inst.k1c(y, x) - ev(inst.action(inst.f1(y), x))),
              "two-argument form vs action"),
         )
-        for gap, name in checks:
-            if _worse(gap, worst[0]):
-                worst = (gap, name)
+    worst = checked[_worst_index([gap for gap, _ in checked])]
     if not worst[0] <= tol:
         raise VerificationError(f"action axiom '{worst[1]}' violated by {worst[0]:.3e} (tol {tol:.1e})")
     return worst[0]
-
-
-def _worse(gap: float, worst: float) -> bool:
-    """Whether ``gap`` replaces ``worst``: it is larger, or the first NaN."""
-    return gap > worst or (math.isnan(gap) and not math.isnan(worst))
 
 
 class Residual(NamedTuple):
@@ -647,9 +636,8 @@ class _ResidualColumns(Sequence):
             yield [column[start:start + rows].tolist() for column in columns]
 
 
-def _worst_index(residuals) -> int:
+def _worst_index(gaps) -> int:
     """The index of the first NaN gap, else of the first largest gap."""
-    gaps = residuals.gap if isinstance(residuals, _ResidualColumns) else [r.gap for r in residuals]
     return int(np.argmax(gaps))  # argmax stops at the first NaN
 
 
@@ -678,7 +666,8 @@ class DiagramReport:
 
     def worst(self) -> Residual:
         """The first residual with a NaN gap, else the first with the largest gap."""
-        return self.residuals[_worst_index(self.residuals)]
+        rows = self.residuals
+        return rows[_worst_index(rows.gap if isinstance(rows, _ResidualColumns) else [r.gap for r in rows])]
 
 
 def _sweep_checks(size: int, q_max: int, mode: str, samples: int) -> int:
@@ -783,7 +772,7 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     return DiagramReport(
         atom_values=values,
         residuals=res,
-        max_residual=res.gap[_worst_index(res)].item(),  # NaN if any gap is, which fails the report
+        max_residual=res.gap[_worst_index(res.gap)].item(),  # NaN if any gap is, which fails the report
         tolerance=tol,
         mode=mode,
         chain_residual=chain_gap,

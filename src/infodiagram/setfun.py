@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainRuleInstance, DomainError, _check_n, _check_vector, indices_of, mask_of
-from .shannon import Dist, RandomVariable, _check_same_space, entropy, joint, joint_of, shannon_instance
+from .shannon import Dist, RandomVariable, _check_same_size, entropy, joint, joint_of, shannon_instance
 
 SUBMODULAR_MAX_N = 12
 SUBMODULAR_TOL = 1e-12
@@ -94,8 +94,12 @@ def entropy_setfunction(p: Dist, gens, base: str = "nats") -> SetFunction:
 
 
 def r1_instance(r: SetFunction) -> ChainRuleInstance:
-    """Chain-rule instance of an arbitrary set function: totals ``R(K) - R(0)``."""
-    return ChainRuleInstance(n=r.n, totals=[v - r.values[0] for v in r.values], meta={"kind": "setfun"})
+    """Chain-rule instance of an arbitrary set function: totals ``R(K) - R(0)``,
+    refused if one is out of floating-point range."""
+    totals = [v - r.values[0] for v in r.values]
+    if not all(map(math.isfinite, totals)):
+        raise DomainError("set-function totals R(K) - R(0) out of floating-point range")
+    return ChainRuleInstance(n=r.n, totals=totals, meta={"kind": "setfun"})
 
 
 def is_submodular(r: SetFunction, tol: float = SUBMODULAR_TOL):
@@ -188,8 +192,8 @@ def bayes_error_evaluator(p: Dist, features, target: RandomVariable,
     n = len(features)
     _check_n(n)
     for g in features:
-        _check_same_space(p, g)
-    _check_same_space(p, target)
+        _check_same_size(p, g)
+    _check_same_size(p, target)
     size = len(p)
 
     def err(mask: int) -> float:

@@ -146,13 +146,8 @@ def constant_variable(size: int, name: str = "") -> RandomVariable:
     return RandomVariable(labels=("*",) * size, name=name)
 
 
-def _check_same_space(p: Dist, x: RandomVariable) -> None:
-    if len(p) != len(x):
-        raise DomainError(f"variable on {len(x)} points does not match distribution on {len(p)}")
-
-
 def _check_same_size(a, b) -> None:
-    """Two variables, or the two distributions of a pair, on spaces of one size."""
+    """Two variables, a distribution and a variable, or a pair's two distributions on spaces of one size."""
     if len(a) != len(b):
         raise DomainError(f"sample-space size mismatch: {len(a)} vs {len(b)}")
 
@@ -175,7 +170,7 @@ def _codes(keys, limit=None):
 
 def marginal(p: Dist, x: RandomVariable) -> Dist:
     """Pushforward of ``p`` along ``x``: mass per label, first-occurrence order."""
-    _check_same_space(p, x)
+    _check_same_size(p, x)
     labels, codes = x._coded
     return Dist(masses=np.bincount(codes, weights=p.masses, minlength=len(labels)), points=labels)
 
@@ -186,7 +181,7 @@ def condition(p: Dist, x: RandomVariable, value) -> Dist:
     If the value has probability zero, returns ``p`` unchanged; that
     convention keeps averaged sums free of case splits.
     """
-    _check_same_space(p, x)
+    _check_same_size(p, x)
     labels, codes = x._coded
     try:
         block = codes == labels.index(value)
@@ -327,7 +322,7 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     gens = tuple(gens)
     _check_n(len(gens))
     for g in gens:
-        _check_same_space(ctx, g)
+        _check_same_size(ctx, g)
     size = len(ctx)
     values = [_apply(value, ctx, joint_of(gens, mask, size), param) for mask in range(1 << len(gens))]
     var = functools.cache(lambda mask: joint_of(gens, mask, size))

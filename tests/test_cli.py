@@ -209,13 +209,26 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, kind, content):
     assert err.startswith(f"ingestion error: {path}: ")
 
 
-@pytest.mark.parametrize("bad", ["-1", "nan", "heavy"])
-def test_bad_weight_names_file_and_row(tmp_path, capsys, bad):
-    csv_path = write(tmp_path, "w.csv", f"A,B,__weight\n0,0,1\n1,1,{bad}\n")
+@pytest.mark.parametrize("header, bad, message", [
+    *(pytest.param("A,B,__weight", bad, " row 2: weight", id=bad) for bad in ("-1", "nan", "heavy")),
+    # a second weight column is not a variable named __weight
+    pytest.param("A,__weight,__weight", "1", ": more than one __weight column", id="second-weight-column"),
+])
+def test_bad_weight_names_file_and_row(tmp_path, capsys, header, bad, message):
+    csv_path = write(tmp_path, "w.csv", f"{header}\n0,0,1\n1,1,{bad}\n")
     code, out, err = run(capsys, "diagram", csv_path, "--instance", "shannon")
     assert code == 2
     assert out == ""
-    assert f"{csv_path} row 2: weight" in err
+    assert f"ingestion error: {csv_path}{message}" in err
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
+    table = "A,B,__weight\n0,0,3\n0,1,1\n1,0,2\n1,1,1.5\n"
+    plain = write(tmp_path, "plain.csv", table)
+    marked = write(tmp_path, "marked.csv", "\ufeff" + table)
+    docs = [run(capsys, "diagram", path, "--instance", "shannon") for path in (plain, marked)]
+    assert docs[0][0] == 0
+    assert docs[1] == docs[0]
 
 
 @pytest.mark.parametrize("kind", ["tsallis", "alpha-kl"])
@@ -224,8 +237,9 @@ def test_negative_alpha_needs_strictly_positive_masses(tmp_path, capsys, kind):
     p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
     q_csv = write(tmp_path, "q.csv", "A,B,__weight\n0,0,2\n0,1,1\n1,0,1\n1,1,4\n")
     inputs = [p_csv, q_csv] if kind == "alpha-kl" else [p_csv]
-    for command in ("diagram", "verify"):
-        code, out, err = run(capsys, command, *inputs, "--instance", kind, "--alpha", "-0.5")
+    # argparse alone takes "-5e-1" after --alpha for an option
+    for command, alpha in itertools.product(("diagram", "verify"), ("-0.5", "-5e-1")):
+        code, out, err = run(capsys, command, *inputs, "--instance", kind, "--alpha", alpha)
         assert code == 3
         assert out == ""
         assert "strictly positive" in err
@@ -235,10 +249,17 @@ def test_overflowing_family_value_exits_3(tmp_path, capsys):
     # Q masses of 0.001 to the power 1 - alpha = -399 are beyond a float
     p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
     q_csv = write(tmp_path, "q.csv", "A,B,__weight\n0,0,997\n0,1,1\n1,0,1\n1,1,1\n")
-    for command in ("diagram", "verify"):
-        code, out, err = run(capsys, command, p_csv, q_csv, "--instance", "alpha-kl", "--alpha", "400")
+    # and a set function's total R(1) - R(0) = -2e308
+    sf_path = write(tmp_path, "sf.json", json.dumps({"n": 1, "values": {"": 1e308, "1": -1e308}}))
+    cases = [
+        ([p_csv, q_csv, "--instance", "alpha-kl", "--alpha", "400"],
+         "alpha kl value out of floating-point range at parameter 400.0"),
+        ([sf_path, "--instance", "setfun"], "set-function totals R(K) - R(0) out of floating-point range"),
+    ]
+    for command, (args, message) in itertools.product(("diagram", "verify"), cases):
+        code, out, err = run(capsys, command, *args)
         assert (code, out) == (3, "")
-        assert "instance error: alpha kl value out of floating-point range at parameter 400.0" in err
+        assert f"instance error: {message}" in err
 
 
 def test_nan_totals_gap_fails_the_diagram(tmp_path, capsys, monkeypatch):
@@ -322,6 +343,7 @@ def test_verify_setfun_passes(tmp_path, capsys):
     ["examples", "xor-i3", "--tol", "nan"],
     ["diagram", "XOR", "--instance", "shannon", "--tol", "nan"],
     ["verify", "XOR", "--instance", "shannon", "--tol", "-0.5"],
+    ["verify", "XOR", "--instance", "shannon", "--tol", "-1e-9"],
 ])
 def test_negative_or_nan_tolerance_is_a_usage_error(tmp_path, capsys, argv):
     # every check would fail against such a tolerance, with a misleading message
