@@ -108,10 +108,12 @@ class DistPair:
 class RandomVariable:
     """A labeling of sample points; its partition is what carries information.
 
-    The partition is coded once, on first use: ``_coded`` is the distinct
-    labels in first-occurrence order and the code of each point, and
-    :meth:`values`, :func:`marginal`, :func:`condition`, :func:`refines`
-    and :func:`equivalent` all read it.
+    The partition is coded once: ``_coded`` is the distinct labels in
+    first-occurrence order and the code of each point, and :meth:`values`,
+    :func:`marginal`, :func:`condition`, :func:`refines` and
+    :func:`equivalent` all read it.  A joint built by :func:`joint` or
+    :func:`joint_of` is coded when built, from its parts' codes; any other
+    variable on first use, from its labels.
     """
 
     labels: tuple
@@ -166,6 +168,50 @@ def _codes(keys, limit=None):
             break
         codes.append(code)
     return tuple(index), np.array(codes, dtype=np.intp)
+
+
+_KEY_MAX = 2 ** 63 - 1  # the largest int64
+_RANK_TABLE_MIN = 1 << 16  # a 512 KB table; below it np.unique ranks are no faster and peak higher in RSS
+
+
+def _joint_codes(labels, parts):
+    """``_codes(labels)`` for the labels of a joint, from its parts' codes.
+
+    ``labels[i]`` is the tuple of the parts' labels at point ``i`` and
+    ``parts`` holds each part's ``_coded``.  Two points share a joint label
+    iff they share every part's code, so the codes combine into one
+    mixed-radix ``int64`` key per point, in ``range(span)``.  A key range
+    wider than ``max(_RANK_TABLE_MIN, 4 * points)``, or about to pass the
+    ``int64`` range, is re-ranked densely by ``np.unique``, so the
+    direct-address table that ``np.minimum.at`` fills with the first point
+    of each key stays within that size; the table is then reused for the
+    first-occurrence rank of each key.  The distinct labels are the
+    ``labels`` at the first occurrences (all of them when no two points
+    share a key), the objects ``_codes`` keeps.
+    """
+    size = len(labels)
+    key = np.zeros(size, dtype=np.int64)
+    span = 1
+    for values, codes in parts:
+        if span * len(values) > _KEY_MAX:
+            span, key = _dense(key)
+        key = key * len(values) + codes
+        span *= len(values)
+    if span > max(_RANK_TABLE_MIN, 4 * size):
+        span, key = _dense(key)
+    points = np.arange(size)
+    table = np.full(span, size, dtype=np.intp)
+    np.minimum.at(table, key, points)
+    firsts = np.flatnonzero(table[key] == points)
+    table[key[firsts]] = np.arange(firsts.size)
+    distinct = tuple(labels) if firsts.size == size else tuple([labels[i] for i in firsts.tolist()])
+    return distinct, table[key]
+
+
+def _dense(key):
+    """The number of distinct keys and each key's rank among them."""
+    distinct, rank = np.unique(key, return_inverse=True)
+    return distinct.size, rank
 
 
 def marginal(p: Dist, x: RandomVariable) -> Dist:
@@ -224,18 +270,29 @@ def _average(x: RandomVariable, f, ctx, weights, condition_fn) -> float:
 
 
 def joint(x: RandomVariable, y: RandomVariable) -> RandomVariable:
-    """Pairing of two variables on the same sample space."""
+    """Pairing of two variables on the same sample space, coded from their codes."""
     _check_same_size(x, y)
     name = f"({x.name},{y.name})" if x.name or y.name else ""
-    return RandomVariable(labels=tuple(zip(x.labels, y.labels)), name=name)
+    return _joint_variable((x, y), name)
 
 
 def joint_of(gens, mask: int, size: int) -> RandomVariable:
-    """Joint of the generators selected by ``mask`` (the constant variable for 0)."""
+    """Joint of the generators selected by ``mask`` (the constant variable for 0).
+
+    Its labels are the tuples of the selected generators' labels, and its
+    partition is coded from their codes by :func:`_joint_codes`.
+    """
     selected = [g for i, g in enumerate(gens) if mask & (1 << i)]
     if not selected:
         return constant_variable(size)
-    return RandomVariable(labels=tuple(zip(*(g.labels for g in selected))))
+    return _joint_variable(selected)
+
+
+def _joint_variable(parts, name: str = "") -> RandomVariable:
+    """The variable whose labels pair the parts' labels, with ``_coded`` filled from the parts' codes."""
+    var = RandomVariable(labels=tuple(zip(*(x.labels for x in parts))), name=name)
+    object.__setattr__(var, "_coded", _joint_codes(var.labels, [x._coded for x in parts]))
+    return var
 
 
 def equivalent(x: RandomVariable, y: RandomVariable) -> bool:
@@ -315,8 +372,10 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     :func:`condition` or :func:`condition_pair`; ``value``, ``weights`` and
     ``param`` are a family's two formulas and its parameter (see
     :func:`_apply`).  The totals are ``value(X_K) - value(X_0)`` for every
-    mask ``K``, each joint built once and dropped as soon as its value is
-    taken.  ``k1(y, z)`` averages the values of ``y`` over the labels of
+    mask ``K``, each joint built once by :func:`joint_of` and dropped as
+    soon as its value is taken; only the generators and the constant
+    variable are coded from their labels, every joint from the generators'
+    codes.  ``k1(y, z)`` averages the values of ``y`` over the labels of
     ``z``, a route to the totals difference independent of it.
     """
     gens = tuple(gens)

@@ -245,6 +245,26 @@ def test_negative_alpha_needs_strictly_positive_masses(tmp_path, capsys, kind):
         assert "strictly positive" in err
 
 
+def test_abbreviated_number_options_take_negative_values(tmp_path, capsys):
+    # argparse resolves --alph, --to and --ep to the full options; a negative
+    # value in exponent form after one reaches the program as it does after "="
+    p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")
+    cases = [
+        (["diagram", p_csv, "--instance", "tsallis"], "--alpha", ("--a", "--alph"), "-1e-3", 3),
+        (["examples", "xor-i3"], "--tol", ("--t", "--to"), "-1e-9", 2),
+        (["examples", "bsc-d2"], "--epsilon", ("--e", "--ep"), "-1e-9", 3),
+    ]
+    for command, option, abbreviations, value, code in cases:
+        expected = run(capsys, *command, f"{option}={value}")
+        assert expected[0] == code
+        for abbreviation in [option, *abbreviations]:
+            assert run(capsys, *command, abbreviation, value) == expected
+    # a prefix the command's parser does not resolve is left alone
+    code, _, err = run(capsys, "diagram", p_csv, "--instance", "tsallis", "--e", "-1e-3")
+    assert code == 2
+    assert "unrecognized arguments: --e -1e-3" in err
+
+
 def test_overflowing_family_value_exits_3(tmp_path, capsys):
     # Q masses of 0.001 to the power 1 - alpha = -399 are beyond a float
     p_csv = write(tmp_path, "p.csv", "A,B\n0,0\n0,1\n1,0\n1,1\n")

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import random_joint, set_partitions, variable_from_partition
+from conftest import random_joint, random_pair, set_partitions, variable_from_partition
 from infodiagram import (
     Dist,
     DomainError,
     IngestionError,
     RandomVariable,
     act,
+    alpha_kl_instance,
     condition,
     conditioned,
     constant_variable,
@@ -26,7 +29,7 @@ from infodiagram import (
     shannon_instance,
     tsallis_instance,
 )
-from infodiagram.shannon import _codes, joint_of, log_scale
+from infodiagram.shannon import _RANK_TABLE_MIN, _codes, _dense, _joint_codes, joint_of, log_scale
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -329,11 +332,15 @@ def test_each_variable_is_coded_once(monkeypatch):
     inst = tsallis_instance(dist, gens, 0.7)
     coded = []
 
-    def counting(keys, limit=None):
-        coded.append(keys)
-        return _codes(keys, limit)
+    def counting(coder):
+        def wrapper(*args):
+            coded.append(args[0])
+            return coder(*args)
+        return wrapper
 
-    monkeypatch.setattr("infodiagram.shannon._codes", counting)
+    # a joint is coded by _joint_codes, any other variable by _codes
+    monkeypatch.setattr("infodiagram.shannon._codes", counting(_codes))
+    monkeypatch.setattr("infodiagram.shannon._joint_codes", counting(_joint_codes))
     first = inst.k1(0b010, 0b100)
     assert 0 < len(coded) <= 2  # the two variables the call touches
     del coded[:]
@@ -347,7 +354,97 @@ def _label_draw(rng, kind, arity, size):
         return tuple(raw)
     if kind == "str":
         return tuple(f"v{v}" for v in raw)
+    if kind == "one":  # 1, True and 1.0 are one dict key
+        return tuple((1, True, 1.0, 0, 2.5)[v % 5] for v in raw)
+    if kind == "nan":  # two NaN objects are two dict keys, each equal to itself
+        return tuple((float("nan"), float("nan"), 0.0)[v % 3] for v in raw)
     return tuple((v % 2, f"t{v}") for v in raw)
+
+
+def _assert_codes_like_dict(var):
+    labels, codes = _codes(var.labels)
+    got_labels, got_codes = var._coded
+    assert got_codes.dtype == codes.dtype
+    assert got_codes.tolist() == codes.tolist()
+    assert len(got_labels) == len(labels)
+    assert all(a is b for a, b in zip(got_labels, labels))  # the objects a dict keeps
+
+
+def test_joint_codes_match_dict_codes_of_the_joint_labels():
+    rng = np.random.default_rng(20264)
+    kinds = ("int", "str", "tuple", "one", "nan")
+    for n in range(1, 13):
+        size = int(rng.integers(1, 60))
+        gens = [RandomVariable(labels=_label_draw(rng, kinds[(n + i) % 5], int(rng.integers(1, 6)), size))
+                for i in range(n)]
+        for mask in range(1, 1 << n):
+            _assert_codes_like_dict(joint_of(gens, mask, size))
+        x = joint_of(gens, (1 << n) - 1, size)
+        for y in gens:
+            _assert_codes_like_dict(joint(x, y))
+            _assert_codes_like_dict(joint(y, y))
+
+
+def test_wide_joints_are_reranked_by_unique(monkeypatch):
+    # 400 distinct labels per column: two columns pass the rank-table range
+    # and eight the int64 range of a mixed-radix key
+    rng = np.random.default_rng(20265)
+    ranked = []
+
+    def dense(key):
+        ranked.append(int(key.max()))
+        return _dense(key)
+
+    monkeypatch.setattr("infodiagram.shannon._dense", dense)
+    size = 400
+    gens = [RandomVariable(labels=tuple(rng.permutation(size).tolist())) for _ in range(8)]
+    gens.append(RandomVariable(labels=_label_draw(rng, "nan", 3, size)))
+    for mask in (0b11, 0b11111111, 0b111111111):
+        del ranked[:]
+        _assert_codes_like_dict(joint_of(gens, mask, size))
+        assert ranked
+    # the eight wide columns re-rank once before the key passes 2**63 - 1
+    del ranked[:]
+    joint_of(gens, 0b11111111, size)
+    assert len(ranked) == 2 and ranked[0] >= size ** 6 and size ** 2 > _RANK_TABLE_MIN
+    # the 3^9 keys of narrow columns go straight to the rank table
+    del ranked[:]
+    narrow = RandomVariable(labels=_label_draw(rng, "int", 3, size))
+    _assert_codes_like_dict(joint_of([narrow] * 9, 0b111111111, size))
+    assert ranked == []
+
+
+def test_joint_totals_equal_dict_coded_joints_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(20266)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(300, 6)).tolist()])
+    pair = random_pair(rng, dist)
+    builders = [
+        lambda: shannon_instance(dist, gens, "bits"),
+        lambda: tsallis_instance(dist, gens, 0.7),
+        lambda: alpha_kl_instance(pair, gens, 0.5),
+    ]
+    fast = [build() for build in builders]
+    monkeypatch.setattr("infodiagram.shannon._joint_codes", lambda labels, parts: _codes(labels))
+    for inst, build in zip(fast, builders):
+        slow = build()
+        assert inst.totals == slow.totals
+        for y, z in ((0b011, 0b100), (0b110, 0b001)):
+            assert inst.k1c(y, z) == slow.k1c(y, z)
+            assert inst.evaluate(inst.action(inst.f1(y), z)) == slow.evaluate(slow.action(slow.f1(y), z))
+
+
+def test_instance_codes_only_generators_and_the_constant_with_codes(monkeypatch):
+    rng = np.random.default_rng(20267)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(80, 5)).tolist()])
+    coded = []
+
+    def counting(keys, limit=None):
+        coded.append(keys)
+        return _codes(keys, limit)
+
+    monkeypatch.setattr("infodiagram.shannon._codes", counting)
+    shannon_instance(dist, gens)
+    assert Counter(coded) == Counter([g.labels for g in gens] + [("*",) * len(dist)])
 
 
 def test_coded_partition_matches_label_scans_bit_for_bit():
