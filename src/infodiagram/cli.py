@@ -615,33 +615,23 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _join_negative_numbers(parser: argparse.ArgumentParser, argv: list) -> list:
-    """``argv`` with each negative number after a number option joined to it by "=".
+def _number_option(token: str) -> bool:
+    """True for one of ``_NUMBER_OPTIONS`` or an abbreviation of one, as ``--alph`` or ``--to``.
 
-    A number option is one of ``_NUMBER_OPTIONS`` or an abbreviation that
-    the command's parser resolves to one of them, as ``--alph`` or ``--to``:
-    the prefix of exactly one of its option strings, and itself none of them.
+    No other option of the commands shares their first letter after "--",
+    so argparse reads each such prefix as that option where the command has it.
     """
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    options = commands[command]._option_string_actions if command in commands else {}
-
-    def resolved(token: str) -> str:
-        matches = [option for option in options if option.startswith(token)]
-        return matches[0] if token not in options and len(matches) == 1 else token
-
-    args = []
-    for arg in argv:
-        if args and arg.startswith("-") and _is_float(arg) and resolved(args[-1]) in _NUMBER_OPTIONS:
-            args[-1] += "=" + arg
-        else:
-            args.append(arg)
-    return args
+    return len(token) > 2 and token.startswith("--") and any(option.startswith(token) for option in _NUMBER_OPTIONS)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _join_negative_numbers(parser, sys.argv[1:] if argv is None else list(argv))
+    args = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if args and _number_option(args[-1]) and arg.startswith("-") and _is_float(arg):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
     try:
         config = parser.parse_args(args)
         _check_args(config, parser)

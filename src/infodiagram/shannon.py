@@ -171,7 +171,6 @@ def _codes(keys, limit=None):
 
 
 _KEY_MAX = 2 ** 63 - 1  # the largest int64
-_RANK_TABLE_MIN = 1 << 16  # a 512 KB table; below it np.unique ranks are no faster and peak higher in RSS
 
 
 def _joint_codes(labels, parts):
@@ -180,32 +179,30 @@ def _joint_codes(labels, parts):
     ``labels[i]`` is the tuple of the parts' labels at point ``i`` and
     ``parts`` holds each part's ``_coded``.  Two points share a joint label
     iff they share every part's code, so the codes combine into one
-    mixed-radix ``int64`` key per point, in ``range(span)``.  A key range
-    wider than ``max(_RANK_TABLE_MIN, 4 * points)``, or about to pass the
-    ``int64`` range, is re-ranked densely by ``np.unique``, so the
-    direct-address table that ``np.minimum.at`` fills with the first point
-    of each key stays within that size; the table is then reused for the
-    first-occurrence rank of each key.  The distinct labels are the
-    ``labels`` at the first occurrences (all of them when no two points
-    share a key), the objects ``_codes`` keeps.
+    mixed-radix ``int64`` key per point, re-ranked densely by ``_dense``
+    before it would pass the ``int64`` range and once at the end.
+    ``np.minimum.at`` then finds the first point of each rank, and ordering
+    the ranks by that point gives the first-occurrence codes.  The distinct
+    labels are the ``labels`` at the first points, the objects ``_codes``
+    keeps.  ``np.unique`` with ``return_index`` finds the first points too,
+    but through a stable sort: it coded the 1,023 joints of a 1,957-point
+    ``shannon-lattice`` table in about 0.25 s against 0.17 s (2 vCPUs,
+    numpy 2.4).
     """
-    size = len(labels)
-    key = np.zeros(size, dtype=np.int64)
+    key = np.zeros(len(labels), dtype=np.int64)
     span = 1
     for values, codes in parts:
         if span * len(values) > _KEY_MAX:
             span, key = _dense(key)
         key = key * len(values) + codes
         span *= len(values)
-    if span > max(_RANK_TABLE_MIN, 4 * size):
-        span, key = _dense(key)
-    points = np.arange(size)
-    table = np.full(span, size, dtype=np.intp)
-    np.minimum.at(table, key, points)
-    firsts = np.flatnonzero(table[key] == points)
-    table[key[firsts]] = np.arange(firsts.size)
-    distinct = tuple(labels) if firsts.size == size else tuple([labels[i] for i in firsts.tolist()])
-    return distinct, table[key]
+    span, key = _dense(key)
+    firsts = np.full(span, len(labels), dtype=np.intp)
+    np.minimum.at(firsts, key, np.arange(len(labels)))
+    order = np.argsort(firsts)
+    rank = np.empty(span, dtype=np.intp)
+    rank[order] = np.arange(span)
+    return tuple([labels[i] for i in firsts[order].tolist()]), rank[key]
 
 
 def _dense(key):
@@ -271,7 +268,6 @@ def _average(x: RandomVariable, f, ctx, weights, condition_fn) -> float:
 
 def joint(x: RandomVariable, y: RandomVariable) -> RandomVariable:
     """Pairing of two variables on the same sample space, coded from their codes."""
-    _check_same_size(x, y)
     name = f"({x.name},{y.name})" if x.name or y.name else ""
     return _joint_variable((x, y), name)
 
@@ -289,7 +285,12 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
 
 
 def _joint_variable(parts, name: str = "") -> RandomVariable:
-    """The variable whose labels pair the parts' labels, with ``_coded`` filled from the parts' codes."""
+    """The variable whose labels pair the parts' labels, with ``_coded`` filled from the parts' codes.
+
+    Parts on spaces of different sizes raise :class:`DomainError`.
+    """
+    for x in parts[1:]:
+        _check_same_size(parts[0], x)
     var = RandomVariable(labels=tuple(zip(*(x.labels for x in parts))), name=name)
     object.__setattr__(var, "_coded", _joint_codes(var.labels, [x._coded for x in parts]))
     return var

@@ -259,10 +259,10 @@ def test_abbreviated_number_options_take_negative_values(tmp_path, capsys):
         assert expected[0] == code
         for abbreviation in [option, *abbreviations]:
             assert run(capsys, *command, abbreviation, value) == expected
-    # a prefix the command's parser does not resolve is left alone
+    # a prefix of a number option that the command lacks is still refused
     code, _, err = run(capsys, "diagram", p_csv, "--instance", "tsallis", "--e", "-1e-3")
     assert code == 2
-    assert "unrecognized arguments: --e -1e-3" in err
+    assert "unrecognized arguments: --e=-1e-3" in err
 
 
 def test_overflowing_family_value_exits_3(tmp_path, capsys):

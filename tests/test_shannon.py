@@ -29,7 +29,7 @@ from infodiagram import (
     shannon_instance,
     tsallis_instance,
 )
-from infodiagram.shannon import _RANK_TABLE_MIN, _codes, _dense, _joint_codes, joint_of, log_scale
+from infodiagram.shannon import _codes, _dense, _joint_codes, joint_of, log_scale
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -131,7 +131,11 @@ def test_joint_and_equivalence_laws():
     assert equivalent(joint(x, constant_variable(5)), x)
     assert equivalent(joint(x, x), x)
     assert equivalent(joint(x, y), joint(y, x))
-    for check in (joint, equivalent, refines):  # one size check, one message
+
+    def selected(a, b):
+        return joint_of([a, b], 0b11, len(a))
+
+    for check in (joint, selected, equivalent, refines):  # one size check, one message
         with pytest.raises(DomainError, match=r"^sample-space size mismatch: 5 vs 4$"):
             check(x, random_variable(rng, 4))
 
@@ -386,8 +390,8 @@ def test_joint_codes_match_dict_codes_of_the_joint_labels():
 
 
 def test_wide_joints_are_reranked_by_unique(monkeypatch):
-    # 400 distinct labels per column: two columns pass the rank-table range
-    # and eight the int64 range of a mixed-radix key
+    # 400 distinct labels per column: eight columns pass the int64 range of
+    # a mixed-radix key
     rng = np.random.default_rng(20265)
     ranked = []
 
@@ -399,19 +403,13 @@ def test_wide_joints_are_reranked_by_unique(monkeypatch):
     size = 400
     gens = [RandomVariable(labels=tuple(rng.permutation(size).tolist())) for _ in range(8)]
     gens.append(RandomVariable(labels=_label_draw(rng, "nan", 3, size)))
-    for mask in (0b11, 0b11111111, 0b111111111):
+    for mask, passes in ((0b11, 1), (0b11111111, 2), (0b111111111, 2)):
         del ranked[:]
         _assert_codes_like_dict(joint_of(gens, mask, size))
-        assert ranked
-    # the eight wide columns re-rank once before the key passes 2**63 - 1
-    del ranked[:]
-    joint_of(gens, 0b11111111, size)
-    assert len(ranked) == 2 and ranked[0] >= size ** 6 and size ** 2 > _RANK_TABLE_MIN
-    # the 3^9 keys of narrow columns go straight to the rank table
-    del ranked[:]
-    narrow = RandomVariable(labels=_label_draw(rng, "int", 3, size))
-    _assert_codes_like_dict(joint_of([narrow] * 9, 0b111111111, size))
-    assert ranked == []
+        assert len(ranked) == passes
+    # besides the final re-rank, the key re-ranks once, before the eighth
+    # column would pass 2**63 - 1
+    assert ranked[0] >= size ** 6
 
 
 def test_joint_totals_equal_dict_coded_joints_bit_for_bit(monkeypatch):
