@@ -11,7 +11,9 @@ Subcommands
 
 Every JSON document (``diagram``, ``verify`` and ``examples``) has exactly
 the bytes of ``json.dump(doc, sort_keys=True, indent=2)`` plus a newline;
-one streaming writer, :func:`_write_document`, writes them all.
+one streaming writer, :func:`_write_document`, writes them all.  A sweep
+holds few distinct values, so the writer formats each distinct float of a
+residual table once, JSON and CSV alike.
 
 Exit codes: 0 ok, 2 ingestion/usage error (an unreadable or malformed
 input, a file that is not UTF-8 included), 3 instance-precondition failure
@@ -451,6 +453,34 @@ def _indices_json(indices) -> str:
     return _json_list([str(i) for i in indices], "      ")
 
 
+def _residual_chunks(residuals, fmt):
+    """The residual columns ``_CHUNK_ROWS`` rows at a time: lists of ``q``,
+    ``L`` (each row padded with 0 past its q) and ``J``, and the texts
+    ``fmt(x)`` of ``lhs``, ``rhs`` and ``gap``.
+
+    A sweep measures few distinct Hu regions, so its columns hold few
+    distinct values, and each is formatted once per write: a chunk's floats
+    are reduced to their distinct float64 bit patterns by ``np.unique``,
+    each new pattern's text goes into a memo kept for the whole write, and
+    one object-array index gives the row texts.  The memo is keyed by the
+    bit pattern, not by the float: ``0.0 == -0.0`` would give ``-0.0`` the
+    text of ``0.0``, and ``NaN != NaN`` would miss every NaN.
+    """
+    memo: dict[int, str] = {}
+    for start in range(0, len(residuals), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        floats = np.concatenate((residuals.lhs[rows], residuals.rhs[rows], residuals.gap[rows]))
+        bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+        texts = []
+        for key, x in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = fmt(x)
+            texts.append(text)
+        lhs, rhs, gaps = np.array(texts, dtype=object)[inverse.reshape(3, -1)].tolist()
+        yield residuals.q[rows].tolist(), residuals.l[rows].tolist(), residuals.j[rows].tolist(), lhs, rhs, gaps
+
+
 def _residual_json_chunks(residuals):
     """The texts of the ``residuals`` rows, a list of them per chunk, as
     ``json.dump(..., sort_keys=True, indent=2)`` gives the
@@ -459,11 +489,10 @@ def _residual_json_chunks(residuals):
     j_text = functools.cache(lambda j: _indices_json(indices_of(j)))
     l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
     l_text = functools.cache(lambda l_masks: _json_list([l_entry(l) for l in l_masks], "      "))
-    for qs, ls, js, lhs, rhs, gaps in residuals.column_chunks(_CHUNK_ROWS):
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float):
         yield [
             f'    {{\n      "J": {j_text(j)},\n      "L": {l_text(tuple(l[:q]))},\n'
-            f'      "gap": {_json_float(gap)},\n      "lhs": {_json_float(a)},\n'
-            f'      "q": {q},\n      "rhs": {_json_float(b)}\n    }}'
+            f'      "gap": {gap},\n      "lhs": {a},\n      "q": {q},\n      "rhs": {b}\n    }}'
             for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)
         ]
 
@@ -493,8 +522,8 @@ _ROW_LISTS = {
 def _residual_csv_chunks(residuals):
     mask_text = functools.cache(lambda mask: " ".join(map(str, indices_of(mask))))
     l_text = functools.cache(lambda l_masks: "|".join(map(mask_text, l_masks)))
-    for qs, ls, js, lhs, rhs, gaps in residuals.column_chunks(_CHUNK_ROWS):
-        yield "".join([f'{q},"{l_text(tuple(l[:q]))}","{mask_text(j)}",{a!r},{b!r},{gap!r}\n'
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__):
+        yield "".join([f'{q},"{l_text(tuple(l[:q]))}","{mask_text(j)}",{a},{b},{gap}\n'
                        for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)])
 
 
@@ -516,11 +545,14 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
     q, rhs``), each float as json writes it (``float.__repr__``, or
     ``NaN``, ``Infinity`` and ``-Infinity``); a ``verify`` document's
     ``residuals`` are the sweep's residual columns (``report.residuals``),
-    read without building a :class:`Residual` or a dict per row.  Any other
-    value goes through ``json.dumps``.  A CSV document is one line per atom
-    (``diagram``) or per residual (``verify``).  JSON rows and residual CSV
-    lines are formatted ``_CHUNK_ROWS`` at a time, and each chunk goes to
-    the handle as one ``write``.
+    read without building a :class:`Residual` or a dict per row, and each
+    distinct ``lhs``, ``rhs`` or ``gap`` bit pattern is formatted once per
+    write (:func:`_residual_chunks`).  Any other value goes through
+    ``json.dumps``.  A CSV document is one line per atom (``diagram``) or
+    per residual (``verify``, floats by ``float.__repr__``, formatted once
+    per distinct bit pattern as well).  JSON rows and residual CSV lines are
+    formatted ``_CHUNK_ROWS`` at a time, and each chunk goes to the handle
+    as one ``write``.
     """
     with _output(config.out) as fh:
         if config.fmt == "csv" and config.command == "diagram":

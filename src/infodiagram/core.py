@@ -614,26 +614,19 @@ class _ResidualColumns(Sequence):
     def __iter__(self):
         rows = self._kept()
         l_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}  # one L tuple object per distinct L
-        k = 0
-        for chunk in self.column_chunks(1024):
-            for q, l_row, j, lhs, rhs, gap in zip(*chunk):
+        columns = (self.q, self.l, self.j, self.lhs, self.rhs, self.gap)
+        for start in range(0, len(self), 1024):
+            chunk = [column[start:start + 1024].tolist() for column in columns]
+            for k, (q, l_row, j, lhs, rhs, gap) in enumerate(zip(*chunk), start):
                 if rows[k] is None:
                     l_masks = tuple(l_row[:q])
                     rows[k] = Residual(q, l_tuples.setdefault(l_masks, l_masks), j, lhs, rhs, gap)
                 yield rows[k]
-                k += 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, _ResidualColumns)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def column_chunks(self, rows: int):
-        """The columns as lists, ``rows`` rows at a time:
-        ``[q, L, J, lhs, rhs, gap]``, each L row padded with 0 past its q."""
-        columns = (self.q, self.l, self.j, self.lhs, self.rhs, self.gap)
-        for start in range(0, len(self), rows):
-            yield [column[start:start + rows].tolist() for column in columns]
 
 
 def _worst_index(gaps) -> int:

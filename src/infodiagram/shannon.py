@@ -61,13 +61,17 @@ class Dist:
 
     def __post_init__(self):
         arr = np.asarray(self.masses, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("masses must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("masses must be finite")
-        if np.any(arr < 0):
-            raise DomainError("masses must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > MASS_TOL:
+        # one pass accepts a valid array: a NaN or a negative fails the
+        # minimum, and an infinity makes the sum miss 1; the minimum goes
+        # first, so inf + -inf is never summed.  Only a refused array runs
+        # the checks that name what is wrong.
+        if not (arr.ndim == 1 and arr.size and arr.min() >= 0 and abs(float(arr.sum()) - 1.0) <= MASS_TOL):
+            if arr.ndim != 1 or arr.size == 0:
+                raise DomainError("masses must be a nonempty 1-d array")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("masses must be finite")
+            if np.any(arr < 0):
+                raise DomainError("masses must be nonnegative")
             raise DomainError(f"masses sum to {float(arr.sum())!r}, not 1 within {MASS_TOL}")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -541,7 +542,14 @@ def test_verify_document_matches_json_dump_of_the_rows(tmp_path, capsys, monkeyp
 
 def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, capsys, monkeypatch):
     real = cli.verify_hu
-    specials = (math.nan, math.inf, -math.inf, -0.0, 0.5)
+    json_float = cli._json_float
+    nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    inputs = (
+        (math.nan, math.inf, -math.inf, -0.0, 0.5),
+        # 0.0 beside -0.0, a NaN with a payload and a negative NaN, and
+        # values whose shortest text has an exponent or just has none
+        (0.0, -0.0, nan_payload, -math.nan, 5e-324, 1e16, 1e-05),
+    )
 
     def special_sweep(inst, **kwargs):
         report = real(inst, **kwargs)
@@ -550,20 +558,40 @@ def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, 
         report.max_residual = math.nan
         return report
 
+    def bits(x):
+        return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+    formatted = []
+
+    def counted_json_float(x):
+        formatted.append(bits(x))
+        return json_float(x)
+
     monkeypatch.setattr(cli, "verify_hu", special_sweep)
+    monkeypatch.setattr(cli, "_json_float", counted_json_float)
     docs = _capture_documents(monkeypatch, "cmd_verify")
     argv = [write(tmp_path, "xor.csv", XOR_CSV), "--instance", "shannon"]
-    code, out = _verify_both_ways(tmp_path, capsys, argv)
-    assert code == 4
-    assert out == _old_json(docs[0])
-    # NaN, Infinity, -Infinity and -0.0 parse back to what was written
-    parsed = [(row["lhs"], row["rhs"], row["gap"]) for row in json.loads(out)["residuals"][:125]]
-    assert [tuple(map(repr, values)) for values in parsed] == [
-        tuple(map(repr, values)) for values in itertools.product(specials, repeat=3)
-    ]
-    code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
-    assert code == 4
-    assert out == _old_csv(docs[-1])
+    for specials, chunk_rows in itertools.product(inputs, (cli._CHUNK_ROWS, 7)):
+        # chunks of 7 rows split equal values apart
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        code, out = _verify_both_ways(tmp_path, capsys, argv)
+        assert code == 4
+        assert out == _old_json(docs[-1])
+        # NaN, Infinity, -Infinity and -0.0 parse back to what was written
+        parsed = [(row["lhs"], row["rhs"], row["gap"]) for row in json.loads(out)["residuals"][:len(specials) ** 3]]
+        assert [tuple(map(repr, values)) for values in parsed] == [
+            tuple(map(repr, values)) for values in itertools.product(specials, repeat=3)
+        ]
+        # one write formats each distinct bit pattern of the three float columns once
+        formatted.clear()
+        assert run(capsys, "verify", *argv)[:2] == (4, out)
+        columns = docs[-1]["residuals"]
+        patterns = {bits(x) for x in [*columns.lhs.tolist(), *columns.rhs.tolist(), *columns.gap.tolist()]}
+        assert {bits(x) for x in specials} <= patterns
+        assert sorted(formatted) == sorted(patterns)
+        code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
+        assert code == 4
+        assert out == _old_csv(docs[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import random
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -209,3 +210,14 @@ def test_the_sweep_holds_no_per_check_objects():
         tracemalloc.stop()
     assert len(report.residuals) == 209_408 and report.passed
     assert peak < 16_000_000
+    # nor does writing it: the write holds a chunk of row texts and one text
+    # per distinct float (4,030 here), 4.3 MB traced for JSON, 2.3 MB for CSV
+    doc = {"summary": cli._verification_summary(report), "residuals": report.residuals}
+    for fmt in ("json", "csv"):
+        tracemalloc.start()
+        try:
+            cli._write_document(doc, argparse.Namespace(out=os.devnull, fmt=fmt, command="verify"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, fmt

@@ -48,12 +48,27 @@ def strictly_positive(rng, size, points=None):
 
 
 def test_dist_validation():
-    with pytest.raises(DomainError):
-        Dist(masses=np.array([0.5, 0.6]))
-    with pytest.raises(DomainError):
-        Dist(masses=np.array([1.5, -0.5]))
-    with pytest.raises(DomainError):
+    # a refused array is named by the first check it fails: shape, finiteness, sign, sum
+    for masses, message in [
+        ([np.nan, 1.0], "masses must be finite"),
+        ([np.inf, -np.inf], "masses must be finite"),
+        ([1.5, -0.5], "masses must be nonnegative"),
+        ([0.5, 0.6], "masses sum to 1.1, not 1 within 1e-12"),
+        ([], "masses must be a nonempty 1-d array"),
+        ([[0.5, 0.5]], "masses must be a nonempty 1-d array"),
+    ]:
+        with pytest.raises(DomainError) as caught:
+            Dist(masses=np.array(masses))
+        assert str(caught.value) == message, masses
+    # a finite array whose sum overflows is refused by its sum, with numpy's warning
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError) as caught:
+        Dist(masses=np.array([1e308, 1e308]))
+    assert str(caught.value) == "masses sum to inf, not 1 within 1e-12"
+    with pytest.raises(DomainError, match="^1 points for 2 masses$"):
         Dist(masses=np.array([0.5, 0.5]), points=("a",))
+    # -0.0, a subnormal mass and a sum off 1 by less than the tolerance pass, bit for bit
+    for masses in ([-0.0, 1.0], [5e-324, 1.0], [0.5, 0.5 + 2e-13]):
+        assert Dist(masses=np.array(masses)).masses.tobytes() == np.array(masses).tobytes()
 
 
 def test_marginal_parity_and_injective():
