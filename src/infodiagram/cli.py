@@ -623,6 +623,8 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
     if args.command != "render" and not args.tol >= 0:  # NaN compares false
         parser.error(f"--tol must be a nonnegative number, got {args.tol!r}")
     if args.command in ("diagram", "verify"):
+        if args.q_max < 1:
+            parser.error(f"--qmax must be a positive integer, got {args.q_max}")
         if args.kind in ALPHA_KINDS and args.alpha is None:
             parser.error(f"--alpha is required for --instance {args.kind}")
         if args.kind not in ALPHA_KINDS and args.alpha is not None:

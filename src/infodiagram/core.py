@@ -123,6 +123,8 @@ def _check_vector(n: int, values, what: str) -> tuple:
 
 def _check_element(mask: int, n: int, what: str = "element") -> None:
     if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
+        if not isinstance(mask, int):
+            raise DomainError(f"{what} mask {mask!r} is a {type(mask).__name__}, not an int")
         raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
 
 
@@ -560,12 +562,11 @@ class _ResidualColumns(Sequence):
 
     ``q``, the L masks ``l`` (one row of ``q_max`` entries per check,
     padded with 0 past its ``q``) and ``j`` are small unsigned integers;
-    ``lhs``, ``rhs`` and ``gap`` are float64.  Rows are ``Residual`` tuples
-    of Python ints and floats.  A row is built on its first read, by index
-    or by iteration, and kept, so ``s[i] is s[i]`` and iteration yields the
-    same objects, as for a list; nothing is kept until a row is read.
-    Assigning a ``Residual`` to a row writes the columns.  The view equals
-    a list, or another view, with equal rows.
+    ``lhs``, ``rhs`` and ``gap`` are float64.  The view assigns no rows:
+    each read, by index or by iteration, builds a fresh ``Residual`` of
+    Python ints and floats from the columns and keeps none, so a value
+    written to a column reaches every later read.  The view equals a list,
+    or another view, with equal rows.
     """
 
     def __init__(self, checks: int, q_max: int, n: int):
@@ -576,54 +577,28 @@ class _ResidualColumns(Sequence):
         self.lhs = np.zeros(checks)
         self.rhs = np.zeros(checks)
         self.gap = np.zeros(checks)
-        self._rows: list[Residual | None] | None = None  # made on the first read
 
     def __len__(self) -> int:
         return len(self.gap)
-
-    def _kept(self) -> list[Residual | None]:
-        if self._rows is None:
-            self._rows = [None] * len(self)
-        return self._rows
 
     def __getitem__(self, i):
         k = range(len(self))[i]  # a range for a slice
         if isinstance(k, range):
             return [self[x] for x in k]
-        rows = self._kept()
-        if rows[k] is None:
-            q = int(self.q[k])
-            rows[k] = Residual(q, tuple(self.l[k, :q].tolist()), int(self.j[k]),
-                               self.lhs[k].item(), self.rhs[k].item(), self.gap[k].item())
-        return rows[k]
-
-    def __setitem__(self, i, residual) -> None:
-        k = operator.index(range(len(self))[i])
-        q, l_masks, j, lhs, rhs, gap = residual
-        if len(l_masks) != q or not 1 <= q <= self.l.shape[1]:
-            raise DomainError(f"a residual row holds 1..{self.l.shape[1]} L masks, "
-                              f"got q={q} with {len(l_masks)}")
-        self.q[k] = q
-        self.l[k] = 0
-        self.l[k, :q] = l_masks
-        self.j[k] = j
-        self.lhs[k], self.rhs[k], self.gap[k] = lhs, rhs, gap
-        if self._rows is not None:
-            self._rows[k] = None
+        q = int(self.q[k])
+        return Residual(q, tuple(self.l[k, :q].tolist()), int(self.j[k]),
+                        self.lhs[k].item(), self.rhs[k].item(), self.gap[k].item())
 
     def __iter__(self):
-        rows = self._kept()
-        l_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}  # one L tuple object per distinct L
         columns = (self.q, self.l, self.j, self.lhs, self.rhs, self.gap)
         for start in range(0, len(self), 1024):
             chunk = [column[start:start + 1024].tolist() for column in columns]
-            for k, (q, l_row, j, lhs, rhs, gap) in enumerate(zip(*chunk), start):
-                if rows[k] is None:
-                    l_masks = tuple(l_row[:q])
-                    rows[k] = Residual(q, l_tuples.setdefault(l_masks, l_masks), j, lhs, rhs, gap)
-                yield rows[k]
+            for q, l_row, j, lhs, rhs, gap in zip(*chunk):
+                yield Residual(q, tuple(l_row[:q]), j, lhs, rhs, gap)
 
     def __eq__(self, other) -> bool:
+        if other is self:  # as a list does, though a row with a NaN equals no row
+            return True
         if not isinstance(other, (list, _ResidualColumns)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
@@ -639,9 +614,10 @@ class DiagramReport:
     """Result of a full diagram verification sweep.
 
     ``residuals`` is a sequence of :class:`Residual`; :func:`verify_hu`
-    gives one held as columns.  :meth:`worst` reads its gaps, so a row
-    assigned to ``residuals`` reaches it; ``max_residual`` is the worst gap
-    as the report was made.  ``zeta`` is the subset zeta transform of
+    gives a read-only view of six columns, whose rows are built on read
+    and not kept.  :meth:`worst` reads its ``gap`` column, so a gap
+    written there reaches it; ``max_residual`` is the worst gap as the
+    report was made.  ``zeta`` is the subset zeta transform of
     ``atom_values``: ``zeta[S]`` sums the atoms inside ``S``.
     """
 

@@ -378,6 +378,16 @@ def test_negative_or_nan_tolerance_is_a_usage_error(tmp_path, capsys, argv):
         assert run(capsys, *args, valid)[0] == 0
 
 
+@pytest.mark.parametrize("command", ["diagram", "verify"])
+@pytest.mark.parametrize("q_max", ["0", "-1"])
+def test_nonpositive_qmax_is_a_usage_error(tmp_path, capsys, command, q_max):
+    # refused before the input is read: the file named does not exist
+    code, out, err = run(capsys, command, str(tmp_path / "absent.csv"), "--instance", "shannon",
+                         "--qmax", q_max)
+    assert (code, out) == (2, "")
+    assert f"--qmax must be a positive integer, got {q_max}" in err
+
+
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
     # non-dyadic weights leave float roundoff in some identity, so tolerance 0
     # must fail; the XOR sweep is exact and would pass
@@ -553,8 +563,9 @@ def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, 
 
     def special_sweep(inst, **kwargs):
         report = real(inst, **kwargs)
+        s = report.residuals
         for i, (lhs, rhs, gap) in enumerate(itertools.product(specials, repeat=3)):
-            report.residuals[i] = report.residuals[i]._replace(lhs=lhs, rhs=rhs, gap=gap)
+            s.lhs[i], s.rhs[i], s.gap[i] = lhs, rhs, gap
         report.max_residual = math.nan
         return report
 
