@@ -42,9 +42,9 @@ from .core import (
     DomainError,
     VerificationError,
     _check_n,
+    _sweep_plan,
     indices_of,
     interaction,
-    mask_of,
     verify_hu,
 )
 from .divergences import DistPair, alpha_kl_instance, cross_entropy_instance, kl_instance, tsallis_instance
@@ -52,6 +52,7 @@ from .render import render_venn
 from .setfun import (
     HypothesisEvaluator,
     SetFunction,
+    _key_mask,
     _subset_values,
     advantage_instance,
     bayes_error_evaluator,
@@ -140,16 +141,17 @@ def _load_json(path: str):
 
 
 def _parse_subset_key(key: str, n: int) -> int:
-    """The mask of a subset key such as ``"1 3"`` or ``"1,3"``, or -1, a mask
-    the range check refuses, when an index lies outside 1..n."""
+    """The mask of a subset key such as ``"1 3"`` or ``"1,3"``, by the
+    library's key rule (:func:`setfun._key_mask`)."""
     try:
         indices = [int(part) for part in key.replace(",", " ").split()]
     except ValueError:
         raise DomainError(f"subset key {key!r} is not a list of indices") from None
-    return mask_of(indices) if all(1 <= i <= n for i in indices) else -1
+    return _key_mask(indices, n)
 
 
-def _read_subset_table(path: str, field_name: str):
+def _read_subset_table(path: str, field_name: str, table_type):
+    """A ``table_type`` from the subset table ``field_name`` of ``path``, and its generator names."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
@@ -177,17 +179,15 @@ def _read_subset_table(path: str, field_name: str):
     names = doc.get("names", [str(i) for i in range(1, n + 1)])
     if not isinstance(names, list) or len(names) != n:
         raise IngestionError(f"{path}: 'names' must list {n} generator names")
-    return n, values, [str(name) for name in names]
+    return table_type(n, values), [str(name) for name in names]
 
 
 def read_setfunction(path: str):
-    n, values, names = _read_subset_table(path, "values")
-    return SetFunction(n=n, values=values), names
+    return _read_subset_table(path, "values", SetFunction)
 
 
 def read_errors(path: str):
-    n, values, names = _read_subset_table(path, "errors")
-    return HypothesisEvaluator(n=n, errors=values), names
+    return _read_subset_table(path, "errors", HypothesisEvaluator)
 
 
 def read_blobs(paths):
@@ -201,29 +201,30 @@ def read_blobs(paths):
 
 
 def build_instance(config: argparse.Namespace):
-    """Construct the configured instance; returns (instance, generator names)."""
+    """Construct the configured instance; returns (instance, generator names).
+    The sweep's plan is asked before the builder runs: a refused sweep builds nothing."""
     kind = config.kind
     if kind == "setfun":
         fn, names = read_setfunction(config.inputs[0])
-        return r1_instance(fn), names
-    if kind == "advantage":
+        build = lambda: r1_instance(fn)
+    elif kind == "advantage":
         errors, names = read_errors(config.inputs[0])
-        return advantage_instance(errors), names
-    if kind == "compressor":
+        build = lambda: advantage_instance(errors)
+    elif kind == "compressor":
         blobs, names = read_blobs(config.inputs)
-        fn = compressor_setfunction(blobs)
-        inst = r1_instance(fn)
-        inst.meta["kind"] = "compression-based information function"
-        inst.meta["compressor"] = COMPRESSOR_ID
-        return inst, names
-    if kind in PAIR_KINDS:
-        ctx, gens, names = paired_empirical(*config.inputs)
+        build = lambda: r1_instance(compressor_setfunction(blobs))
     else:
-        names, rows, weights = read_table(config.inputs[0])
-        ctx, gens = empirical_from_rows(rows, weights)
-    builder = {"shannon": shannon_instance, "tsallis": tsallis_instance, "kl": kl_instance,
-               "cross-entropy": cross_entropy_instance, "alpha-kl": alpha_kl_instance}[kind]
-    return builder(ctx, gens, config.alpha if kind in ALPHA_KINDS else config.base), names
+        if kind in PAIR_KINDS:
+            ctx, gens, names = paired_empirical(*config.inputs)
+        else:
+            names, rows, weights = read_table(config.inputs[0])
+            ctx, gens = empirical_from_rows(rows, weights)
+        builder = {"shannon": shannon_instance, "tsallis": tsallis_instance, "kl": kl_instance,
+                   "cross-entropy": cross_entropy_instance, "alpha-kl": alpha_kl_instance}[kind]
+        build = lambda: builder(ctx, gens, config.alpha if kind in ALPHA_KINDS else config.base)
+    _check_n(len(names))  # the generator cap is named before the sweep's
+    _sweep_plan(len(names), config.q_max)
+    return build(), names
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,8 @@ def _metadata(config: argparse.Namespace, inst: ChainRuleInstance, names) -> dic
         "n": inst.n,
         "generators": list(names),
     }
-    if "compressor" in inst.meta:
-        meta["compressor"] = inst.meta["compressor"]
+    if config.kind == "compressor":
+        meta.update(instance="compression-based information function", compressor=COMPRESSOR_ID)
     return meta
 
 

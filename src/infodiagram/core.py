@@ -70,6 +70,7 @@ VERIFY_EXHAUSTIVE_MAX_N = 5
 ORACLE_MAX_N = 5
 DEFAULT_TOL = 1e-9
 VERIFY_MAX_TERMS = 2 ** 25
+VERIFY_SAMPLES = 1000
 
 
 class DomainError(ValueError):
@@ -639,16 +640,34 @@ class DiagramReport:
         return rows[_worst_index(rows.gap if isinstance(rows, _ResidualColumns) else [r.gap for r in rows])]
 
 
-def _sweep_checks(size: int, q_max: int, mode: str, samples: int) -> int:
-    """Identity checks of a sweep: every sorted q-tuple and conditioning
-    element in exhaustive mode, ``samples`` in sampled mode."""
-    if mode == "sampled":
-        return samples
-    return sum(math.comb(size + q - 1, q) for q in range(1, q_max + 1)) * size
+def _sweep_plan(n: int, q_max: int, mode: str = "auto", samples: int = VERIFY_SAMPLES) -> tuple[str, int]:
+    """``(mode, checks)`` of a sweep of degree <= ``q_max`` over n generators,
+    or a :class:`DomainError` for one past its caps, which depend on n alone.
+    ``auto`` checks every sorted q-tuple against every conditioning element
+    up to n = ``VERIFY_EXHAUSTIVE_MAX_N`` and draws ``samples`` checks beyond."""
+    if q_max < 1:
+        raise DomainError(f"q_max must be >= 1, got {q_max}")
+    if mode == "auto":
+        mode = "exhaustive" if n <= VERIFY_EXHAUSTIVE_MAX_N else "sampled"
+    if mode not in ("exhaustive", "sampled"):
+        raise DomainError(f"verify mode {mode!r} is not 'auto', 'exhaustive' or 'sampled'")
+    if mode == "exhaustive" and n > VERIFY_EXHAUSTIVE_MAX_N:
+        raise DomainError(f"exhaustive verification is capped at n={VERIFY_EXHAUSTIVE_MAX_N}, got n={n}")
+    if mode == "sampled" and samples < 1:
+        raise DomainError(f"sampled verification needs samples >= 1, got {samples}")
+    # a degree-q check reads at most 2**q terms; checks >= 1, so a q_max at
+    # or past the cap's bit length is refused without counting the checks
+    if q_max < VERIFY_MAX_TERMS.bit_length():
+        size = 1 << n
+        checks = samples if mode == "sampled" else sum(math.comb(size + q - 1, q) for q in range(1, q_max + 1)) * size
+        if checks * 2 ** q_max <= VERIFY_MAX_TERMS:
+            return mode, checks
+    raise DomainError(f"verification sweep at q_max={q_max} exceeds the cap of {VERIFY_MAX_TERMS} terms "
+                      "(checks * 2**q_max)")
 
 
 def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
-              mode: str = "auto", samples: int = 1000, seed: int = 0,
+              mode: str = "auto", samples: int = VERIFY_SAMPLES, seed: int = 0,
               check_chain: bool = True) -> DiagramReport:
     """Check every diagram identity of degree <= ``q_max`` for an instance.
 
@@ -658,12 +677,10 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     the measure of its region, which comes from the atom table: an
     inclusion-exclusion of 2**q lookups in the subset zeta transform of the
     atoms (kept as ``DiagramReport.zeta``), gathered in numpy.
-    Exhaustive up to n = 5 (argument tuples are swept as sorted
-    multisets; the interaction canonicalizes order, so permutations are
-    float-identical); ``samples`` (at least 1) checks drawn with a fixed
-    seed beyond that.  A sweep whose checks
-    times ``2**q_max`` exceed ``VERIFY_MAX_TERMS`` is refused with
-    :class:`DomainError` before any work.
+    :func:`_sweep_plan` gives the mode and check count, and refuses a sweep
+    past its caps before any work.  An exhaustive sweep takes argument tuples
+    as sorted multisets (the interaction canonicalizes order, so permutations
+    are float-identical); a sampled one draws its checks with a fixed seed.
 
     The residuals are six preallocated columns (q, the L masks padded to
     ``q_max``, J, lhs, rhs and gap), which ``DiagramReport.residuals``
@@ -674,26 +691,9 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     pairs is raised first (disable with ``check_chain=False`` to see the
     identity residuals of a broken instance).
     """
-    if q_max < 1:
-        raise DomainError(f"q_max must be >= 1, got {q_max}")
     n = inst.n
-    if mode == "auto":
-        mode = "exhaustive" if n <= VERIFY_EXHAUSTIVE_MAX_N else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise DomainError(f"verify mode {mode!r} is not 'auto', 'exhaustive' or 'sampled'")
-    if mode == "exhaustive" and n > VERIFY_EXHAUSTIVE_MAX_N:
-        raise DomainError(f"exhaustive verification is capped at n={VERIFY_EXHAUSTIVE_MAX_N}, got n={n}")
-    if mode == "sampled" and samples < 1:
-        raise DomainError(f"sampled verification needs samples >= 1, got {samples}")
+    mode, checks = _sweep_plan(n, q_max, mode, samples)
     size = 1 << n
-    # a degree-q check reads at most 2**q terms; checks >= 1, so a q_max at
-    # or past the cap's bit length is refused without counting the checks
-    if (q_max >= VERIFY_MAX_TERMS.bit_length()
-            or _sweep_checks(size, q_max, mode, samples) * 2 ** q_max > VERIFY_MAX_TERMS):
-        raise DomainError(
-            f"verification sweep at q_max={q_max} exceeds the cap of {VERIFY_MAX_TERMS} terms "
-            "(checks * 2**q_max)"
-        )
 
     chain_samples = None if mode == "exhaustive" else samples
     chain_gap = None
@@ -709,7 +709,7 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
 
     values = atom_table(inst)
     zeta = _subset_zeta(values, n)
-    res = _ResidualColumns(_sweep_checks(size, q_max, mode, samples), q_max, n)
+    res = _ResidualColumns(checks, q_max, n)
 
     if mode == "exhaustive":
         start = 0

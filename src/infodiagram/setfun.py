@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainRuleInstance, DomainError, _check_n, _check_vector, indices_of, mask_of
+from .core import ChainRuleInstance, DomainError, _check_element, _check_n, _check_vector, indices_of, mask_of
 from .shannon import Dist, RandomVariable, _check_same_size, entropy, joint, joint_of, shannon_instance
 
 SUBMODULAR_MAX_N = 12
@@ -43,8 +43,7 @@ class SetFunction:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, mask: int) -> float:
-        if mask < 0 or mask >= (1 << self.n):
-            raise DomainError(f"mask {mask} is not a subset of 1..{self.n}")
+        _check_element(mask, self.n, "set-function")
         return self.values[mask]
 
     @classmethod
@@ -159,8 +158,7 @@ class HypothesisEvaluator:
         object.__setattr__(self, "errors", errs)
 
     def __call__(self, mask: int) -> float:
-        if mask < 0 or mask >= (1 << self.n):
-            raise DomainError(f"mask {mask} is not a subset of 1..{self.n}")
+        _check_element(mask, self.n, "error-table")
         return self.errors[mask]
 
     def is_monotone(self, tol: float = SUBMODULAR_TOL):

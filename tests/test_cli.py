@@ -174,11 +174,14 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
     code, _, err = run(capsys, "diagram", missing, "--instance", "shannon")
     assert code == 2
 
-    for key, message in (("4", "is out of range 1..3"), ("1;2", "is not a list of indices")):
+    # a key is read by the library's key rule, so index 0 gets its 1-based message
+    for key, message in (("4", "subset key '4' is out of range 1..3"),
+                         ("1;2", "subset key '1;2' is not a list of indices"),
+                         ("0", "generator indices are 1-based positive ints, got 0")):
         sf_path = write(tmp_path, "sf.json", json.dumps({"n": 3, "values": {"": 0.0, key: 1.0}}))
         code, _, err = run(capsys, "diagram", sf_path, "--instance", "setfun")
         assert code == 2
-        assert f"ingestion error: {sf_path}: subset key {key!r} {message}" in err
+        assert f"ingestion error: {sf_path}: {message}" in err
 
     # subset-table values are JSON numbers: a boolean or a numeric string is refused
     for kind, field in (("setfun", "values"), ("advantage", "errors")):
@@ -281,6 +284,56 @@ def test_overflowing_family_value_exits_3(tmp_path, capsys):
         code, out, err = run(capsys, command, *args)
         assert (code, out) == (3, "")
         assert f"instance error: {message}" in err
+
+
+_PQ = {"p.csv": "A,B\n0,0\n1,1\n"}
+_SF = "sf.json"
+
+
+@pytest.mark.parametrize("files, argv, code, message", [
+    pytest.param({"t.csv": "A,B\n"}, ["diagram", "t.csv", "--instance", "shannon"], 2,
+                 "ingestion error: t.csv: need a header row and at least one sample row", id="header-only-table"),
+    pytest.param({"t.csv": "__weight\n1\n"}, ["diagram", "t.csv", "--instance", "shannon"], 2,
+                 "ingestion error: t.csv: no variable columns", id="weight-column-only"),
+    pytest.param({**_PQ, "q.csv": "A,C\n0,0\n1,1\n"}, ["diagram", "p.csv", "q.csv", "--instance", "kl"], 2,
+                 "ingestion error: variable names differ between p.csv and q.csv: ['A', 'B'] vs ['A', 'C']",
+                 id="pair-headers-differ"),
+    pytest.param({_SF: "not json"}, ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: invalid JSON: ", id="setfun-not-json"),
+    pytest.param({_SF: "[1, 2]"}, ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: expected an object with 'n' and 'values'", id="subset-table-not-object"),
+    pytest.param({_SF: '{"n": 2, "values": [0, 1, 1, 2]}'}, ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: 'values' must map subset keys to numbers", id="values-a-list"),
+    pytest.param({_SF: '{"n": 2, "values": {"": 0, "1": 1, "2": 1, "1 2": 2}, "names": ["a"]}'},
+                 ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: 'names' must list 2 generator names", id="one-name-at-n-2"),
+    pytest.param({**_PQ, "d": None}, ["diagram", "d", "p.csv", "--instance", "compressor"], 2,
+                 "ingestion error: d: ", id="directory-blob"),
+    pytest.param(_PQ, ["diagram", "p.csv", "--instance", "shannon", "--alpha", "0.5"], 2,
+                 "--alpha is only meaningful for ['alpha-kl', 'tsallis']", id="alpha-for-shannon"),
+    pytest.param(_PQ, ["diagram", "p.csv", "p.csv", "--instance", "shannon"], 2,
+                 "--instance shannon takes exactly one input file", id="two-inputs-for-shannon"),
+    pytest.param(_PQ, ["diagram", "p.csv", "--instance", "tsallis", "--alpha", "nan"], 3,
+                 "instance error: alpha must be finite, got nan", id="nan-alpha"),
+    # non-dyadic values leave a roundoff gap in the sweep
+    pytest.param({_SF: '{"n": 2, "values": {"": 0, "1": 0.1, "2": 0.2, "1 2": 0.7}}'},
+                 ["diagram", _SF, "--instance", "setfun", "--tol", "0"], 4,
+                 "verification error: diagram identity check failed: max residual 5.551e-17 > tolerance 0.0e+00",
+                 id="setfun-diagram-roundoff"),
+    pytest.param({}, ["examples", "venn-decomposition", "--tol", "0", "--seed", "3", "--out", "doc.json"], 4,
+                 "example 'venn-decomposition' failed: value 2.220446049250313e-16 vs expected 0.0",
+                 id="venn-decomposition-roundoff"),
+])
+def test_refusals_exit_with_their_code_and_message(tmp_path, capsys, monkeypatch, files, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            write(tmp_path, name, text)
+    exit_code, out, err = run(capsys, *argv)
+    assert (exit_code, out) == (code, "")
+    assert message in err
 
 
 def test_nan_totals_gap_fails_the_diagram(tmp_path, capsys, monkeypatch):
@@ -421,12 +474,29 @@ def test_subset_table_cap_checked_before_allocation(tmp_path, capsys, monkeypatc
     assert "cap" in err
 
 
-def test_oversized_sweep_exits_before_any_work(tmp_path, capsys):
-    code, out, err = run(capsys, "verify", write(tmp_path, "xor.csv", XOR_CSV),
-                         "--instance", "shannon", "--qmax", "16")
-    assert code == 3
-    assert out == ""
-    assert "cap" in err
+def test_oversized_sweep_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    # the sweep's plan is asked once the input is read: no builder runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built for a refused sweep")
+
+    for name in ("shannon_instance", "compressor_setfunction", "r1_instance"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.delenv("INFODIAGRAM_MAX_N", raising=False)
+    rows = "".join(",".join(str(b >> j & 1) for j in range(7)) + "\n" for b in range(8))
+    table = write(tmp_path, "wide.csv", ",".join(f"x{j}" for j in range(1, 8)) + "\n" + rows)  # sampled
+    blobs = [write(tmp_path, f"{name}.bin", name * 10) for name in "abc"]
+    sf_path = write(tmp_path, "sf.json", json.dumps({"n": 3, "values": {
+        " ".join(map(str, indices_of(m))): float(m) for m in range(8)}}))
+    for inputs, kind in (([table], "shannon"), (blobs, "compressor"), ([sf_path], "setfun")):
+        code, out, err = run(capsys, "verify", *inputs, "--instance", kind, "--qmax", "16")
+        assert (code, out) == (3, "")
+        assert err == ("instance error: verification sweep at q_max=16 exceeds the cap of 33554432 terms "
+                       "(checks * 2**q_max)\n")
+    # past both caps, the generator cap is named
+    wide = write(tmp_path, "n13.csv", ",".join(f"x{j}" for j in range(1, 14)) + "\n" + ",".join("0" * 13) + "\n")
+    code, out, err = run(capsys, "verify", wide, "--instance", "shannon", "--qmax", "16")
+    assert (code, out) == (3, "")
+    assert err == "instance error: generator count n=13 outside 1..12 (raise the cap with INFODIAGRAM_MAX_N)\n"
 
 
 def test_subset_table_rejects_boolean_n(tmp_path, capsys):

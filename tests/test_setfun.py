@@ -77,6 +77,22 @@ def test_setfunction_validation(monkeypatch):
         SetFunction.from_mapping(4, {(): 0.0, (1,): 1.0})
 
 
+@pytest.mark.parametrize("table, what", [
+    (SetFunction(n=2, values=(0.0, 1.0, 2.0, 3.0)), "set-function"),
+    (HypothesisEvaluator(n=2, errors=(0.0, 1.0, 2.0, 3.0)), "error-table"),
+])
+def test_lookups_use_the_engine_mask_rule(table, what):
+    # the mask rule of core._check_element: a mask that is not an int, a
+    # numpy integer included, is named by its type; one outside 1..n by its value
+    for bad, kind in ((1.5, "float"), ("1", "str"), (None, "NoneType"), (np.int64(1), "int64")):
+        with pytest.raises(DomainError, match=rf"^{what} mask {re.escape(repr(bad))} is a {kind}, not an int$"):
+            table(bad)
+    for bad in (4, -1):
+        with pytest.raises(DomainError, match=rf"^{what} mask {bad} is not a subset of 1\.\.2$"):
+            table(bad)
+    assert [table(mask) for mask in range(4)] == [0.0, 1.0, 2.0, 3.0]
+
+
 def test_from_mapping_rejects_bad_and_repeated_keys():
     # index 0 names no generator: a DomainError, not a bare negative-shift ValueError
     with pytest.raises(DomainError, match="1-based"):
