@@ -454,10 +454,11 @@ def _indices_json(indices) -> str:
     return _json_list([str(i) for i in indices], "      ")
 
 
-def _residual_chunks(residuals, fmt):
-    """The residual columns ``_CHUNK_ROWS`` rows at a time: lists of ``q``,
-    ``L`` (each row padded with 0 past its q) and ``J``, and the texts
-    ``fmt(x)`` of ``lhs``, ``rhs`` and ``gap``.
+def _residual_chunks(residuals, fmt, l_text, j_text):
+    """The residual rows ``_CHUNK_ROWS`` at a time, as lists: ``q``, the texts
+    ``l_text(key)`` of L, where ``key`` is q followed by the row's L masks
+    (padded with 0 past q), ``j_text(j)`` of J, and ``fmt(x)`` of ``lhs``,
+    ``rhs`` and ``gap``.
 
     A sweep measures few distinct Hu regions, so its columns hold few
     distinct values, and each is formatted once per write: a chunk's floats
@@ -465,7 +466,10 @@ def _residual_chunks(residuals, fmt):
     each new pattern's text goes into a memo kept for the whole write, and
     one object-array index gives the row texts.  The memo is keyed by the
     bit pattern, not by the float: ``0.0 == -0.0`` would give ``-0.0`` the
-    text of ``0.0``, and ``NaN != NaN`` would miss every NaN.
+    text of ``0.0``, and ``NaN != NaN`` would miss every NaN.  The sweep
+    writes the checks of one ``(q, L)`` as one run of rows, one per J, so
+    an L text is built once per run of equal keys and a J text once per
+    distinct J of a chunk.
     """
     memo: dict[int, str] = {}
     for start in range(0, len(residuals), _CHUNK_ROWS):
@@ -479,20 +483,29 @@ def _residual_chunks(residuals, fmt):
                 text = memo[key] = fmt(x)
             texts.append(text)
         lhs, rhs, gaps = np.array(texts, dtype=object)[inverse.reshape(3, -1)].tolist()
-        yield residuals.q[rows].tolist(), residuals.l[rows].tolist(), residuals.j[rows].tolist(), lhs, rhs, gaps
+        qs = residuals.q[rows]
+        keys = np.column_stack((qs, residuals.l[rows]))
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        l_texts = np.array([l_text(key) for key in keys[new].tolist()], dtype=object)[np.cumsum(new) - 1]
+        js, j_rows = np.unique(residuals.j[rows], return_inverse=True)
+        j_texts = np.array([j_text(j) for j in js.tolist()], dtype=object)[j_rows]
+        yield qs.tolist(), l_texts.tolist(), j_texts.tolist(), lhs, rhs, gaps
 
 
 def _residual_json_chunks(residuals):
     """The texts of the ``residuals`` rows, a list of them per chunk, as
     ``json.dump(..., sort_keys=True, indent=2)`` gives the
-    :func:`_residual_row` dicts inside a document.  Each mask's and each L
-    tuple's text is built once."""
-    j_text = functools.cache(lambda j: _indices_json(indices_of(j)))
+    :func:`_residual_row` dicts inside a document."""
     l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
-    l_text = functools.cache(lambda l_masks: _json_list([l_entry(l) for l in l_masks], "      "))
-    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float):
+
+    def l_text(key):
+        return _json_list([l_entry(l) for l in key[1:1 + key[0]]], "      ")
+
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float, l_text,
+                                                       lambda j: _indices_json(indices_of(j))):
         yield [
-            f'    {{\n      "J": {j_text(j)},\n      "L": {l_text(tuple(l[:q]))},\n'
+            f'    {{\n      "J": {j},\n      "L": {l},\n'
             f'      "gap": {gap},\n      "lhs": {a},\n      "q": {q},\n      "rhs": {b}\n    }}'
             for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)
         ]
@@ -522,10 +535,12 @@ _ROW_LISTS = {
 
 def _residual_csv_chunks(residuals):
     mask_text = functools.cache(lambda mask: " ".join(map(str, indices_of(mask))))
-    l_text = functools.cache(lambda l_masks: "|".join(map(mask_text, l_masks)))
-    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__):
-        yield "".join([f'{q},"{l_text(tuple(l[:q]))}","{mask_text(j)}",{a},{b},{gap}\n'
-                       for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)])
+
+    def l_text(key):
+        return "|".join(map(mask_text, key[1:1 + key[0]]))
+
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__, l_text, mask_text):
+        yield "".join([f'{q},"{l}","{j}",{a},{b},{gap}\n' for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)])
 
 
 def _nested_json(value) -> str:

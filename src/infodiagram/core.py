@@ -123,10 +123,13 @@ def _check_vector(n: int, values, what: str) -> tuple:
 
 
 def _check_element(mask: int, n: int, what: str = "element") -> None:
-    if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
-        if not isinstance(mask, int):
+    # a plain int in range passes on the first test; a bool is an int to
+    # isinstance but no mask, as True is no generator count for _check_n
+    if type(mask) is not int or mask < 0 or mask >= (1 << n):
+        if isinstance(mask, bool) or not isinstance(mask, int):
             raise DomainError(f"{what} mask {mask!r} is a {type(mask).__name__}, not an int")
-        raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
+        if mask < 0 or mask >= (1 << n):
+            raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
 
 
 def _check_term(l_masks, j_mask: int, n: int) -> tuple:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -116,8 +117,13 @@ class RandomVariable:
     first-occurrence order and the code of each point, and :meth:`values`,
     :func:`marginal`, :func:`condition`, :func:`refines` and
     :func:`equivalent` all read it.  A joint built by :func:`joint` or
-    :func:`joint_of` is coded when built, from its parts' codes; any other
-    variable on first use, from its labels.
+    :func:`joint_of` is coded when built, from its parts' codes, and keeps
+    its parts in place of its labels: its distinct labels are picked from
+    the parts' labels at the first point of each code, and the tuple
+    ``labels`` is built on first read, with those same objects at the first
+    points.  ``len()`` and everything that reads ``_coded`` leave it
+    unbuilt; ``repr``, :func:`dataclasses.replace` and pickling read it.
+    Any other variable is coded on first use, from its labels.
     """
 
     labels: tuple
@@ -129,7 +135,29 @@ class RandomVariable:
             raise DomainError("a random variable needs at least one sample point")
 
     def __len__(self) -> int:
-        return len(self.labels)
+        parts = self.__dict__.get("_parts")
+        return len(parts[0]) if parts else len(self.labels)
+
+    def __getattr__(self, attr):
+        # called only for what the instance and class lack: the labels of a
+        # joint not read yet
+        parts = self.__dict__.get("_parts")
+        if attr != "labels" or parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        labels = list(zip(*(x.labels for x in parts)))
+        values, codes = self._coded
+        for value, i in zip(values, np.unique(codes, return_index=True)[1].tolist()):
+            labels[i] = value
+        labels = tuple(labels)
+        object.__setattr__(self, "labels", labels)
+        return labels
+
+    def __getstate__(self):
+        # a joint pickles as its labels, name and codes, as a coded variable
+        # built from labels does
+        state = {"labels": self.labels, **self.__dict__}
+        state.pop("_parts", None)
+        return state
 
     @functools.cached_property
     def _coded(self):
@@ -177,36 +205,40 @@ def _codes(keys, limit=None):
 _KEY_MAX = 2 ** 63 - 1  # the largest int64
 
 
-def _joint_codes(labels, parts):
-    """``_codes(labels)`` for the labels of a joint, from its parts' codes.
+def _joint_codes(parts):
+    """``_codes`` of the labels of the joint of ``parts``, from their codes.
 
-    ``labels[i]`` is the tuple of the parts' labels at point ``i`` and
-    ``parts`` holds each part's ``_coded``.  Two points share a joint label
-    iff they share every part's code, so the codes combine into one
-    mixed-radix ``int64`` key per point, re-ranked densely by ``_dense``
-    before it would pass the ``int64`` range and once at the end.
-    ``np.minimum.at`` then finds the first point of each rank, and ordering
-    the ranks by that point gives the first-occurrence codes.  The distinct
-    labels are the ``labels`` at the first points, the objects ``_codes``
-    keeps.  ``np.unique`` with ``return_index`` finds the first points too,
-    but through a stable sort: it coded the 1,023 joints of a 1,957-point
-    ``shannon-lattice`` table in about 0.25 s against 0.17 s (2 vCPUs,
-    numpy 2.4).
+    The joint's label at a point is the tuple of the parts' labels there.
+    Two points share a joint label iff they share every part's code, so the
+    codes combine into one mixed-radix ``int64`` key per point, re-ranked
+    densely by ``_dense`` before it would pass the ``int64`` range and once
+    at the end.  ``np.minimum.at`` then finds the first point of each rank,
+    and ordering the ranks by that point gives the first-occurrence codes.
+    The distinct labels are the tuples of the parts' labels at the first
+    points only, so the joint's own labels are not built.  ``np.unique``
+    with ``return_index`` finds the first points too, but through a stable
+    sort: it coded the 1,023 joints of a 1,957-point ``shannon-lattice``
+    table in about 0.25 s against 0.17 s (2 vCPUs, numpy 2.4).
     """
-    key = np.zeros(len(labels), dtype=np.int64)
+    size = len(parts[0])
+    key = np.zeros(size, dtype=np.int64)
     span = 1
-    for values, codes in parts:
+    for x in parts:
+        values, codes = x._coded
         if span * len(values) > _KEY_MAX:
             span, key = _dense(key)
         key = key * len(values) + codes
         span *= len(values)
     span, key = _dense(key)
-    firsts = np.full(span, len(labels), dtype=np.intp)
-    np.minimum.at(firsts, key, np.arange(len(labels)))
+    firsts = np.full(span, size, dtype=np.intp)
+    np.minimum.at(firsts, key, np.arange(size))
     order = np.argsort(firsts)
     rank = np.empty(span, dtype=np.intp)
     rank[order] = np.arange(span)
-    return tuple([labels[i] for i in firsts[order].tolist()]), rank[key]
+    firsts = firsts[order].tolist()
+    # itemgetter of one index gives the item, not a 1-tuple
+    pick = operator.itemgetter(*firsts) if span > 1 else lambda labels: (labels[firsts[0]],)
+    return tuple(zip(*(pick(x.labels) for x in parts))), rank[key]
 
 
 def _dense(key):
@@ -280,7 +312,8 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
     """Joint of the generators selected by ``mask`` (the constant variable for 0).
 
     Its labels are the tuples of the selected generators' labels, and its
-    partition is coded from their codes by :func:`_joint_codes`.
+    partition is coded from their codes by :func:`_joint_codes`; the labels
+    tuple itself is built only when read (see :class:`RandomVariable`).
     """
     selected = [g for i, g in enumerate(gens) if mask & (1 << i)]
     if not selected:
@@ -289,14 +322,17 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
 
 
 def _joint_variable(parts, name: str = "") -> RandomVariable:
-    """The variable whose labels pair the parts' labels, with ``_coded`` filled from the parts' codes.
+    """The joint of the parts: ``_coded`` from the parts' codes, ``labels`` built on first read.
 
-    Parts on spaces of different sizes raise :class:`DomainError`.
+    Its labels pair the parts' labels (see :class:`RandomVariable`).  Parts
+    on spaces of different sizes raise :class:`DomainError`.
     """
     for x in parts[1:]:
         _check_same_size(parts[0], x)
-    var = RandomVariable(labels=tuple(zip(*(x.labels for x in parts))), name=name)
-    object.__setattr__(var, "_coded", _joint_codes(var.labels, [x._coded for x in parts]))
+    var = object.__new__(RandomVariable)
+    object.__setattr__(var, "name", name)
+    object.__setattr__(var, "_parts", tuple(parts))
+    object.__setattr__(var, "_coded", _joint_codes(parts))
     return var
 
 
@@ -380,8 +416,10 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     mask ``K``, each joint built once by :func:`joint_of` and dropped as
     soon as its value is taken; only the generators and the constant
     variable are coded from their labels, every joint from the generators'
-    codes.  ``k1(y, z)`` averages the values of ``y`` over the labels of
-    ``z``, a route to the totals difference independent of it.
+    codes, and no joint's tuple labels are built: the totals, ``k1``, ``f1``
+    and ``action`` read only codes and distinct labels.  ``k1(y, z)``
+    averages the values of ``y`` over the labels of ``z``, a route to the
+    totals difference independent of it.
     """
     gens = tuple(gens)
     _check_n(len(gens))

@@ -565,6 +565,26 @@ def test_boolean_n_is_refused():
         SetFunction(n=True, values=(0.0, 1.0))
 
 
+def test_boolean_masks_are_refused():
+    # a bool is an int to isinstance, but no subset mask, as n=True is no count
+    inst = ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0, 2.0))
+    fn = SetFunction(n=2, values=(0.0, 1.0, 2.0, 3.0))
+    for call, what in [
+        (lambda: fn(True), "set-function mask True"),
+        (lambda: interaction(inst, (True,), 0), "interaction mask True"),
+        (lambda: interaction(inst, (1,), False), "conditioning mask False"),
+        (lambda: interaction_incl_excl(inst, (1, False)), "interaction mask False"),
+        (lambda: hu_region((True,), 0, 2), "interaction mask True"),
+        (lambda: circle_region(True, 2), "element mask True"),
+        (lambda: atom_measure(inst, True), "atom mask True"),
+        (lambda: atom_interaction(inst, True), "atom mask True"),
+        (lambda: relative_instance(inst, (True,)), "fixed argument mask True"),
+    ]:
+        with pytest.raises(DomainError, match=rf"^{what} is a bool, not an int$"):
+            call()
+    assert interaction(inst, (1,), 0) == interaction(inst, (1,), int(False)) == 1.0
+
+
 def test_default_conditional_is_the_totals_difference():
     totals = (0.0, 0.5, 0.75, 1.0)
     inst = ChainRuleInstance(n=2, totals=totals)

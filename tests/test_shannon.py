@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from infodiagram import (
     shannon_instance,
     tsallis_instance,
 )
-from infodiagram.shannon import _codes, _dense, _joint_codes, joint_of, log_scale
+from infodiagram.shannon import _apply, _codes, _dense, _entropy_value, _joint_codes, joint_of, log_scale
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -427,6 +430,113 @@ def test_wide_joints_are_reranked_by_unique(monkeypatch):
     assert ranked[0] >= size ** 6
 
 
+def _eager_joint(parts, name=""):
+    # a joint whose tuple labels are built first and coded by a dict
+    var = RandomVariable(labels=tuple(zip(*(x.labels for x in parts))), name=name)
+    object.__setattr__(var, "_coded", _codes(var.labels))
+    return var
+
+
+def _first_points(codes):
+    first = {}
+    for i, code in enumerate(codes.tolist()):
+        first.setdefault(code, i)
+    return list(first.values())
+
+
+def test_lazy_joint_labels_pair_the_parts_labels():
+    rng = np.random.default_rng(20269)
+    size = 50
+    gens = [RandomVariable(labels=_label_draw(rng, kind, 5, size)) for kind in ("int", "str", "tuple", "one", "nan")]
+    for mask in range(1, 1 << len(gens)):
+        x = joint_of(gens, mask, size)
+        parts = [g for i, g in enumerate(gens) if mask >> i & 1]
+        assert "labels" not in vars(x)
+        labels = x.labels
+        assert labels == tuple(zip(*(g.labels for g in parts)))
+        # each entry holds the parts' own objects: True stays True beside 1 and 1.0
+        for k, g in enumerate(parts):
+            assert all(label[k] is part for label, part in zip(labels, g.labels))
+        values, codes = x._coded
+        assert all(labels[i] is value for i, value in zip(_first_points(codes), values))
+        assert x.labels is labels
+
+
+def test_reading_a_joints_codes_leaves_its_labels_unbuilt():
+    rng = np.random.default_rng(20270)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(40, 3)).tolist()])
+    x = joint_of(gens, 0b011, len(dist))
+    y = joint(gens[1], gens[0])
+    assert len(x) == len(y) == len(dist)
+    marginal(dist, x)
+    _apply(_entropy_value, dist, x, 1.0)
+    entropy(dist, y)
+    condition(dist, x, x.values()[-1])
+    assert equivalent(x, y) and refines(x, gens[0]) and not refines(gens[0], y)
+    assert "labels" not in vars(x) and "labels" not in vars(y)
+
+
+def test_instances_build_no_joint_labels(monkeypatch):
+    rng = np.random.default_rng(20271)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(60, 4)).tolist()])
+
+    def refuse(self, attr):
+        raise AssertionError(f"read {attr}")
+
+    monkeypatch.setattr(RandomVariable, "__getattr__", refuse)
+    shannon_instance(dist, gens)
+    inst = tsallis_instance(dist, gens, 0.7)
+    inst.k1(0b0011, 0b1100)
+    inst.evaluate(inst.action(inst.f1(0b0101), 0b1010))
+
+
+def test_joint_of_a_lazy_joint():
+    rng = np.random.default_rng(20272)
+    size = 40
+    gens = [RandomVariable(labels=_label_draw(rng, kind, 4, size)) for kind in ("one", "nan", "str")]
+    x = joint_of(gens, 0b011, size)
+    xz = joint(x, gens[2])
+    assert xz.labels == tuple(zip(x.labels, gens[2].labels))
+    _assert_codes_like_dict(xz)
+    assert equivalent(xz, joint_of(gens, 0b111, size))
+    assert joint(xz, x).labels == tuple(zip(xz.labels, x.labels))
+
+
+def test_lazy_joint_repr_replace_and_pickle_match_an_eager_joint():
+    rng = np.random.default_rng(20273)
+    size = 30
+    for kinds in (("int", "str"), ("one", "nan"), ("tuple", "one")):
+        x, z = (RandomVariable(labels=_label_draw(rng, kind, 4, size), name=kind) for kind in kinds)
+        lazy, eager = joint(x, z), _eager_joint((x, z), f"({x.name},{z.name})")
+        assert repr(lazy) == repr(eager)
+        assert pickle.dumps(lazy) == pickle.dumps(eager)
+        back = pickle.loads(pickle.dumps(lazy))
+        assert list(vars(back)) == ["labels", "name", "_coded"]
+        assert repr(back) == repr(lazy)  # a NaN comes back as a new object, unequal to the old
+        assert back._coded[1].tolist() == lazy._coded[1].tolist()
+        assert all(back.labels[i] is v for i, v in zip(_first_points(back._coded[1]), back.values()))
+        renamed = replace(lazy, name="w")
+        assert type(renamed) is RandomVariable
+        assert repr(renamed) == repr(replace(eager, name="w"))
+        assert vars(renamed) == {"labels": lazy.labels, "name": "w"}
+
+
+def test_kept_joints_hold_codes_not_tuple_labels():
+    # every joint of an 8-column, 932-point table, kept as the k1 memo keeps
+    # them: their tuple labels alone take about 21 MB, their codes and
+    # distinct labels about 6 MB
+    rng = np.random.default_rng(20268)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(1000, 8)).tolist()])
+    tracemalloc.start()
+    try:
+        kept = [joint_of(gens, mask, len(dist)) for mask in range(1 << 8)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 256 and len(dist) == 932
+    assert peak < 10_000_000
+
+
 def test_joint_totals_equal_dict_coded_joints_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(20266)
     dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(300, 6)).tolist()])
@@ -437,7 +547,9 @@ def test_joint_totals_equal_dict_coded_joints_bit_for_bit(monkeypatch):
         lambda: alpha_kl_instance(pair, gens, 0.5),
     ]
     fast = [build() for build in builders]
-    monkeypatch.setattr("infodiagram.shannon._joint_codes", lambda labels, parts: _codes(labels))
+    # the oracle: dict coding of the joint's full tuple labels
+    monkeypatch.setattr("infodiagram.shannon._joint_codes",
+                        lambda parts: _codes(tuple(zip(*(x.labels for x in parts)))))
     for inst, build in zip(fast, builders):
         slow = build()
         assert inst.totals == slow.totals
