@@ -54,7 +54,11 @@ class Dist:
     """Probability mass function over an enumerated finite sample space.
 
     ``points`` names the sample points (defaults to their indices); masses
-    must be nonnegative and sum to 1 within 1e-12.
+    must be nonnegative and sum to 1 within 1e-12.  A pushforward from
+    :func:`marginal` is checked against the rounding bound of its sums
+    instead, and keeps its variable in place of its points: it builds them,
+    the variable's ``values()``, on first read; ``repr``,
+    :func:`dataclasses.replace` and pickling read them.
     """
 
     masses: np.ndarray
@@ -62,18 +66,7 @@ class Dist:
 
     def __post_init__(self):
         arr = np.asarray(self.masses, dtype=float)
-        # one pass accepts a valid array: a NaN or a negative fails the
-        # minimum, and an infinity makes the sum miss 1; the minimum goes
-        # first, so inf + -inf is never summed.  Only a refused array runs
-        # the checks that name what is wrong.
-        if not (arr.ndim == 1 and arr.size and arr.min() >= 0 and abs(float(arr.sum()) - 1.0) <= MASS_TOL):
-            if arr.ndim != 1 or arr.size == 0:
-                raise DomainError("masses must be a nonempty 1-d array")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("masses must be finite")
-            if np.any(arr < 0):
-                raise DomainError("masses must be nonnegative")
-            raise DomainError(f"masses sum to {float(arr.sum())!r}, not 1 within {MASS_TOL}")
+        _check_masses(arr, MASS_TOL)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "masses", arr)
@@ -85,6 +78,41 @@ class Dist:
 
     def __len__(self) -> int:
         return self.masses.size
+
+    def __getattr__(self, attr):
+        # called only for what the instance and class lack: the points of a
+        # pushforward not read yet
+        var = self.__dict__.get("_variable")
+        if attr != "points" or var is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        points = var.values()
+        object.__setattr__(self, "points", points)
+        return points
+
+    def __getstate__(self):
+        # a pushforward pickles as a distribution built with its points does
+        return {"masses": self.masses, "points": self.points}
+
+
+# the default lives on in __init__; without the class attribute an unread
+# pushforward's points reach __getattr__
+del Dist.points
+
+
+def _check_masses(arr, tol) -> None:
+    """Refuse ``arr`` unless it is a nonempty 1-d array of nonnegative masses summing to 1 within ``tol``."""
+    # one pass accepts a valid array: a NaN or a negative fails the minimum,
+    # and an infinity makes the sum miss 1; the minimum goes first, so
+    # inf + -inf is never summed.  Only a refused array runs the checks that
+    # name what is wrong.
+    if not (arr.ndim == 1 and arr.size and arr.min() >= 0 and abs(float(arr.sum()) - 1.0) <= tol):
+        if arr.ndim != 1 or arr.size == 0:
+            raise DomainError("masses must be a nonempty 1-d array")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("masses must be finite")
+        if np.any(arr < 0):
+            raise DomainError("masses must be nonnegative")
+        raise DomainError(f"masses sum to {float(arr.sum())!r}, not 1 within {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +141,18 @@ class DistPair:
 class RandomVariable:
     """A labeling of sample points; its partition is what carries information.
 
-    The partition is coded once: ``_coded`` is the distinct labels in
-    first-occurrence order and the code of each point, and :meth:`values`,
-    :func:`marginal`, :func:`condition`, :func:`refines` and
-    :func:`equivalent` all read it.  A joint built by :func:`joint` or
-    :func:`joint_of` is coded when built, from its parts' codes, and keeps
-    its parts in place of its labels: its distinct labels are picked from
-    the parts' labels at the first point of each code, and the tuple
+    The partition is coded once: ``_blocks`` is the number of distinct
+    labels and the code of each point, which :func:`marginal`,
+    :func:`refines`, :func:`equivalent` and the coding of joints read, and
+    ``_coded`` is the distinct labels in first-occurrence order with the
+    same codes, which :meth:`values`, :func:`condition` and the averaging
+    action read.  A joint built by :func:`joint` or :func:`joint_of` keeps
+    its parts, its ``_blocks`` coded from their codes and the first point of
+    each code, in place of its labels: its distinct labels are picked from
+    the parts' labels at those first points on first read, and the tuple
     ``labels`` is built on first read, with those same objects at the first
-    points.  ``len()`` and everything that reads ``_coded`` leave it
-    unbuilt; ``repr``, :func:`dataclasses.replace` and pickling read it.
+    points.  ``len()`` and everything that reads ``_blocks`` leave both
+    unbuilt; ``repr``, :func:`dataclasses.replace` and pickling read them.
     Any other variable is coded on first use, from its labels.
     """
 
@@ -145,23 +175,31 @@ class RandomVariable:
         if attr != "labels" or parts is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
         labels = list(zip(*(x.labels for x in parts)))
-        values, codes = self._coded
-        for value, i in zip(values, np.unique(codes, return_index=True)[1].tolist()):
+        for value, i in zip(self.values(), self._firsts.tolist()):
             labels[i] = value
         labels = tuple(labels)
         object.__setattr__(self, "labels", labels)
         return labels
 
     def __getstate__(self):
-        # a joint pickles as its labels, name and codes, as a coded variable
-        # built from labels does
+        # a variable pickles as its labels, name and, once coded, _coded: a
+        # joint as a variable built from its labels does
         state = {"labels": self.labels, **self.__dict__}
-        state.pop("_parts", None)
+        for key in ("_parts", "_firsts", "_blocks"):
+            state.pop(key, None)
         return state
 
     @functools.cached_property
     def _coded(self):
-        return _codes(self.labels)
+        parts = self.__dict__.get("_parts")
+        if parts is None:
+            return _codes(self.labels)
+        return _joint_values(parts, self._firsts), self._blocks[1]
+
+    @functools.cached_property
+    def _blocks(self):
+        values, codes = self._coded
+        return len(values), codes
 
     def values(self) -> tuple:
         """Distinct labels in first-occurrence order."""
@@ -206,7 +244,7 @@ _KEY_MAX = 2 ** 63 - 1  # the largest int64
 
 
 def _joint_codes(parts):
-    """``_codes`` of the labels of the joint of ``parts``, from their codes.
+    """The ``_blocks`` of the joint of ``parts``, from theirs, and the first point of each code.
 
     The joint's label at a point is the tuple of the parts' labels there.
     Two points share a joint label iff they share every part's code, so the
@@ -214,8 +252,8 @@ def _joint_codes(parts):
     densely by ``_dense`` before it would pass the ``int64`` range and once
     at the end.  ``np.minimum.at`` then finds the first point of each rank,
     and ordering the ranks by that point gives the first-occurrence codes.
-    The distinct labels are the tuples of the parts' labels at the first
-    points only, so the joint's own labels are not built.  ``np.unique``
+    Only the label counts and codes are read: no label, neither the parts'
+    nor the joint's, is touched (see :func:`_joint_values`).  ``np.unique``
     with ``return_index`` finds the first points too, but through a stable
     sort: it coded the 1,023 joints of a 1,957-point ``shannon-lattice``
     table in about 0.25 s against 0.17 s (2 vCPUs, numpy 2.4).
@@ -224,21 +262,26 @@ def _joint_codes(parts):
     key = np.zeros(size, dtype=np.int64)
     span = 1
     for x in parts:
-        values, codes = x._coded
-        if span * len(values) > _KEY_MAX:
+        count, codes = x._blocks
+        if span * count > _KEY_MAX:
             span, key = _dense(key)
-        key = key * len(values) + codes
-        span *= len(values)
+        key = key * count + codes
+        span *= count
     span, key = _dense(key)
     firsts = np.full(span, size, dtype=np.intp)
     np.minimum.at(firsts, key, np.arange(size))
     order = np.argsort(firsts)
     rank = np.empty(span, dtype=np.intp)
     rank[order] = np.arange(span)
-    firsts = firsts[order].tolist()
+    return (span, rank[key]), firsts[order]
+
+
+def _joint_values(parts, firsts):
+    """The distinct labels of the joint of ``parts``: the tuples of their labels at ``firsts``."""
+    firsts = firsts.tolist()
     # itemgetter of one index gives the item, not a 1-tuple
-    pick = operator.itemgetter(*firsts) if span > 1 else lambda labels: (labels[firsts[0]],)
-    return tuple(zip(*(pick(x.labels) for x in parts))), rank[key]
+    pick = operator.itemgetter(*firsts) if len(firsts) > 1 else lambda labels: (labels[firsts[0]],)
+    return tuple(zip(*(pick(x.labels) for x in parts)))
 
 
 def _dense(key):
@@ -248,10 +291,23 @@ def _dense(key):
 
 
 def marginal(p: Dist, x: RandomVariable) -> Dist:
-    """Pushforward of ``p`` along ``x``: mass per label, first-occurrence order."""
+    """Pushforward of ``p`` along ``x``: mass per label, first-occurrence order.
+
+    Its points, ``x.values()``, are built on first read (see :class:`Dist`).
+    Each mass is a sequential sum of the masses of its label's points, so
+    the masses must sum to 1 within ``MASS_TOL`` plus ``m * 2**-53``, the
+    rounding bound of a sum of the ``m = len(p)`` masses (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).
+    """
     _check_same_size(p, x)
-    labels, codes = x._coded
-    return Dist(masses=np.bincount(codes, weights=p.masses, minlength=len(labels)), points=labels)
+    count, codes = x._blocks
+    masses = np.bincount(codes, weights=p.masses, minlength=count)
+    _check_masses(masses, MASS_TOL + len(p) * 2.0 ** -53)
+    masses.setflags(write=False)
+    pushed = object.__new__(Dist)
+    object.__setattr__(pushed, "masses", masses)
+    object.__setattr__(pushed, "_variable", x)
+    return pushed
 
 
 def condition(p: Dist, x: RandomVariable, value) -> Dist:
@@ -312,8 +368,9 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
     """Joint of the generators selected by ``mask`` (the constant variable for 0).
 
     Its labels are the tuples of the selected generators' labels, and its
-    partition is coded from their codes by :func:`_joint_codes`; the labels
-    tuple itself is built only when read (see :class:`RandomVariable`).
+    partition is coded from their codes by :func:`_joint_codes`; its
+    distinct labels and its labels tuple are built only when read (see
+    :class:`RandomVariable`).
     """
     selected = [g for i, g in enumerate(gens) if mask & (1 << i)]
     if not selected:
@@ -322,17 +379,19 @@ def joint_of(gens, mask: int, size: int) -> RandomVariable:
 
 
 def _joint_variable(parts, name: str = "") -> RandomVariable:
-    """The joint of the parts: ``_coded`` from the parts' codes, ``labels`` built on first read.
+    """The joint of the parts: ``_blocks`` from the parts' codes, its labels built on first read.
 
     Its labels pair the parts' labels (see :class:`RandomVariable`).  Parts
     on spaces of different sizes raise :class:`DomainError`.
     """
     for x in parts[1:]:
         _check_same_size(parts[0], x)
+    blocks, firsts = _joint_codes(parts)
     var = object.__new__(RandomVariable)
     object.__setattr__(var, "name", name)
     object.__setattr__(var, "_parts", tuple(parts))
-    object.__setattr__(var, "_coded", _joint_codes(parts))
+    object.__setattr__(var, "_blocks", blocks)
+    object.__setattr__(var, "_firsts", firsts)
     return var
 
 
@@ -340,17 +399,17 @@ def equivalent(x: RandomVariable, y: RandomVariable) -> bool:
     """True iff the two variables induce the same partition of the space."""
     _check_same_size(x, y)
     # first-occurrence codes number a partition's blocks canonically
-    return np.array_equal(x._coded[1], y._coded[1])
+    return np.array_equal(x._blocks[1], y._blocks[1])
 
 
 def refines(x: RandomVariable, y: RandomVariable) -> bool:
     """True iff ``y`` is a function of ``x`` (x's partition refines y's)."""
     _check_same_size(x, y)
-    labels, cx = x._coded
-    cy = y._coded[1]
+    count, cx = x._blocks
+    cy = y._blocks[1]
     # y is a function of x iff every x-block carries one y-code; any point
     # of a block can stand for it
-    image = np.empty(len(labels), dtype=np.intp)
+    image = np.empty(count, dtype=np.intp)
     image[cx] = cy
     return bool(np.array_equal(image[cx], cy))
 
@@ -416,10 +475,11 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     mask ``K``, each joint built once by :func:`joint_of` and dropped as
     soon as its value is taken; only the generators and the constant
     variable are coded from their labels, every joint from the generators'
-    codes, and no joint's tuple labels are built: the totals, ``k1``, ``f1``
-    and ``action`` read only codes and distinct labels.  ``k1(y, z)``
-    averages the values of ``y`` over the labels of ``z``, a route to the
-    totals difference independent of it.
+    codes, and no joint's tuple labels are built.  The totals read only
+    label counts and codes, so they build no distinct label either; ``k1``,
+    ``f1`` and ``action`` also read the distinct labels of the variables
+    they condition on.  ``k1(y, z)`` averages the values of ``y`` over the
+    labels of ``z``, a route to the totals difference independent of it.
     """
     gens = tuple(gens)
     _check_n(len(gens))

@@ -13,6 +13,7 @@ import struct
 import pytest
 
 import infodiagram.cli as cli
+import infodiagram.shannon as shannon
 from infodiagram.cli import main
 from infodiagram.core import indices_of
 
@@ -134,6 +135,29 @@ def test_diagram_roundtrip_bit_exact(tmp_path, capsys, monkeypatch, command, cas
         assert [repr(t["f1"]) for t in again["totals"]] == [repr(t["f1"]) for t in docs[0]["totals"]]
     if case == "setfun-negative-zero":
         assert '"f1": -0.0' in out
+
+
+def test_shannon_document_is_the_same_when_joints_build_their_labels_eagerly(tmp_path, capsys, monkeypatch):
+    # the totals read each joint's label counts and codes only, so the n = 12
+    # document does not depend on whether a joint's distinct labels exist
+    rng = random.Random(12)
+    header = ",".join(f"x{j}" for j in range(1, 13))
+    rows = "".join(",".join(str(rng.randrange(3)) for _ in range(12)) + "\n" for _ in range(150))
+    table = write(tmp_path, "t.csv", header + "\n" + rows)
+    lazy, eager = tmp_path / "lazy.json", tmp_path / "eager.json"
+    assert run(capsys, "diagram", table, "--instance", "shannon", "--out", str(lazy))[0] == 0
+    real, built = shannon._joint_variable, []
+
+    def eager_joint(parts, name=""):
+        var = real(parts, name)
+        var.values()
+        built.append(var.name)
+        return var
+
+    monkeypatch.setattr(shannon, "_joint_variable", eager_joint)
+    assert run(capsys, "diagram", table, "--instance", "shannon", "--out", str(eager))[0] == 0
+    assert len(built) == 4095
+    assert lazy.read_bytes() == eager.read_bytes()
 
 
 def test_diagram_csv_format(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 from conftest import random_joint, random_pair, set_partitions, variable_from_partition
 from infodiagram import (
     Dist,
+    DistPair,
     DomainError,
     IngestionError,
     RandomVariable,
@@ -32,7 +33,7 @@ from infodiagram import (
     shannon_instance,
     tsallis_instance,
 )
-from infodiagram.shannon import _apply, _codes, _dense, _entropy_value, _joint_codes, joint_of, log_scale
+from infodiagram.shannon import MASS_TOL, _apply, _codes, _dense, _entropy_value, _joint_codes, joint_of, log_scale
 
 H_BERNOULLI_34_BITS = 0.8112781244591328  # -(3/4)log2(3/4) - (1/4)log2(1/4)
 
@@ -72,6 +73,22 @@ def test_dist_validation():
     # -0.0, a subnormal mass and a sum off 1 by less than the tolerance pass, bit for bit
     for masses in ([-0.0, 1.0], [5e-324, 1.0], [0.5, 0.5 + 2e-13]):
         assert Dist(masses=np.array(masses)).masses.tobytes() == np.array(masses).tobytes()
+
+
+def test_pushforward_masses_pass_within_the_rounding_bound_of_their_sum():
+    # the constant variable's one mass is the sequential sum of every mass:
+    # over 100,000 equal masses it misses 1 by about 1.9e-12, outside
+    # MASS_TOL but inside MASS_TOL + m * 2**-53, about 1.2e-11
+    size = 100_000
+    p = Dist(masses=np.full(size, 1.0 / size))
+    pushed = marginal(p, constant_variable(size))
+    assert MASS_TOL < abs(float(pushed.masses[0]) - 1.0) <= MASS_TOL + size * 2.0 ** -53
+    assert pushed.points == ("*",)
+    # a distribution the user gives keeps the plain tolerance
+    for masses in (pushed.masses, np.array([0.5, 0.5 + 2e-12])):
+        with pytest.raises(DomainError) as caught:
+            Dist(masses=masses)
+        assert str(caught.value) == f"masses sum to {float(masses.sum())!r}, not 1 within 1e-12"
 
 
 def test_marginal_parity_and_injective():
@@ -448,9 +465,17 @@ def test_lazy_joint_labels_pair_the_parts_labels():
     rng = np.random.default_rng(20269)
     size = 50
     gens = [RandomVariable(labels=_label_draw(rng, kind, 5, size)) for kind in ("int", "str", "tuple", "one", "nan")]
+    dist = Dist(masses=np.full(size, 1.0 / size))
     for mask in range(1, 1 << len(gens)):
         x = joint_of(gens, mask, size)
         parts = [g for i, g in enumerate(gens) if mask >> i & 1]
+        assert "_coded" not in vars(x) and "labels" not in vars(x)
+        # the distinct labels, picked before the labels are built, are an
+        # eager joint's and hold the parts' own objects
+        values, eager = x.values(), _eager_joint(parts).values()
+        assert values == eager
+        assert all(a is b for got, want in zip(values, eager) for a, b in zip(got, want))
+        assert marginal(dist, x).points is values
         assert "labels" not in vars(x)
         labels = x.labels
         assert labels == tuple(zip(*(g.labels for g in parts)))
@@ -471,8 +496,11 @@ def test_reading_a_joints_codes_leaves_its_labels_unbuilt():
     marginal(dist, x)
     _apply(_entropy_value, dist, x, 1.0)
     entropy(dist, y)
-    condition(dist, x, x.values()[-1])
     assert equivalent(x, y) and refines(x, gens[0]) and not refines(gens[0], y)
+    joint(x, y)
+    # label counts and codes only: the distinct labels are not picked yet
+    assert "_coded" not in vars(x) and "_coded" not in vars(y)
+    condition(dist, x, x.values()[-1])
     assert "labels" not in vars(x) and "labels" not in vars(y)
 
 
@@ -490,12 +518,30 @@ def test_instances_build_no_joint_labels(monkeypatch):
     inst.evaluate(inst.action(inst.f1(0b0101), 0b1010))
 
 
+def test_instance_totals_pick_no_distinct_labels(monkeypatch):
+    rng = np.random.default_rng(20274)
+    dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(60, 4)).tolist()])
+
+    def refuse(parts, firsts):
+        raise AssertionError("picked a joint's distinct labels")
+
+    monkeypatch.setattr("infodiagram.shannon._joint_values", refuse)
+    shannon = shannon_instance(dist, gens)
+    tsallis = tsallis_instance(dist, gens, 0.7)
+    monkeypatch.undo()
+    # the action form conditions on the distinct labels, picked on first read
+    y, z = 0b0011, 0b1100
+    assert tsallis.k1(y, z) == pytest.approx(tsallis.totals[y | z] - tsallis.totals[z], abs=1e-12)
+    assert shannon.totals == shannon_instance(dist, gens).totals
+
+
 def test_joint_of_a_lazy_joint():
     rng = np.random.default_rng(20272)
     size = 40
     gens = [RandomVariable(labels=_label_draw(rng, kind, 4, size)) for kind in ("one", "nan", "str")]
     x = joint_of(gens, 0b011, size)
     xz = joint(x, gens[2])
+    assert xz.values() == _eager_joint((x, gens[2])).values()
     assert xz.labels == tuple(zip(x.labels, gens[2].labels))
     _assert_codes_like_dict(xz)
     assert equivalent(xz, joint_of(gens, 0b111, size))
@@ -521,10 +567,37 @@ def test_lazy_joint_repr_replace_and_pickle_match_an_eager_joint():
         assert vars(renamed) == {"labels": lazy.labels, "name": "w"}
 
 
+def test_lazy_pushforward_repr_replace_and_pickle_match_an_eager_one():
+    rng = np.random.default_rng(20275)
+    size = 30
+    dist = strictly_positive(rng, size, points=tuple(f"s{i}" for i in range(size)))
+    other = strictly_positive(rng, size, points=dist.points)
+    for kinds in (("int", "str"), ("one", "nan"), ("tuple", "one")):
+        x = joint(*(RandomVariable(labels=_label_draw(rng, kind, 4, size)) for kind in kinds))
+        lazy = marginal(dist, x)
+        assert type(lazy) is Dist and "points" not in vars(lazy)
+        eager = Dist(masses=lazy.masses, points=x.values())
+        assert pickle.dumps(lazy) == pickle.dumps(eager)
+        assert repr(marginal(dist, x)) == repr(eager)
+        masses = marginal(other, x).masses
+        renamed = replace(marginal(dist, x), masses=masses)
+        assert type(renamed) is Dist and repr(renamed) == repr(replace(eager, masses=masses))
+        assert lazy.points is x.values()
+        back = pickle.loads(pickle.dumps(marginal(dist, x)))
+        assert type(back) is Dist and list(vars(back)) == ["masses", "points"]
+        assert repr(back) == repr(eager)
+        # a pair's points check and condition's points read a pushforward's
+        DistPair(p=marginal(dist, x), q=marginal(other, x))
+        with pytest.raises(DomainError, match="enumerate different sample points"):
+            DistPair(p=marginal(dist, x), q=Dist(masses=marginal(other, x).masses))
+        index = RandomVariable(labels=tuple(range(len(lazy))))
+        assert condition(marginal(dist, x), index, 0).points is x.values()
+
+
 def test_kept_joints_hold_codes_not_tuple_labels():
     # every joint of an 8-column, 932-point table, kept as the k1 memo keeps
     # them: their tuple labels alone take about 21 MB, their codes and
-    # distinct labels about 6 MB
+    # distinct labels about 6 MB, their codes and first points about 2.5 MB
     rng = np.random.default_rng(20268)
     dist, gens = empirical_from_rows([tuple(row) for row in rng.integers(0, 3, size=(1000, 8)).tolist()])
     tracemalloc.start()
@@ -548,8 +621,11 @@ def test_joint_totals_equal_dict_coded_joints_bit_for_bit(monkeypatch):
     ]
     fast = [build() for build in builders]
     # the oracle: dict coding of the joint's full tuple labels
-    monkeypatch.setattr("infodiagram.shannon._joint_codes",
-                        lambda parts: _codes(tuple(zip(*(x.labels for x in parts)))))
+    def dict_coded(parts):
+        values, codes = _codes(tuple(zip(*(x.labels for x in parts))))
+        return (len(values), codes), np.array(_first_points(codes), dtype=np.intp)
+
+    monkeypatch.setattr("infodiagram.shannon._joint_codes", dict_coded)
     for inst, build in zip(fast, builders):
         slow = build()
         assert inst.totals == slow.totals
