@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_joint, random_pair, set_partitions, variable_from_partition
 from infodiagram import (
@@ -445,6 +447,63 @@ def test_wide_joints_are_reranked_by_unique(monkeypatch):
     # besides the final re-rank, the key re-ranks once, before the eighth
     # column would pass 2**63 - 1
     assert ranked[0] >= size ** 6
+
+
+def test_joints_whose_span_fits_the_points_are_ranked_without_unique(monkeypatch):
+    # a joint's key spans the product of its parts' label counts; a span up
+    # to the point count is ranked on a table, one past it by _dense
+    rng = np.random.default_rng(20270)
+    ranked = []
+
+    def dense(key):
+        ranked.append(key.size)
+        return _dense(key)
+
+    def column(arity, size):  # every label present
+        return RandomVariable(labels=tuple(rng.permutation(np.arange(size) % arity).tolist()))
+
+    monkeypatch.setattr("infodiagram.shannon._dense", dense)
+    gens = [column(3, 60) for _ in range(3)]
+    for mask in range(1, 8):
+        _assert_codes_like_dict(joint_of(gens, mask, 60))
+    assert ranked == []
+    for size, passes in ((12, 0), (11, 1)):  # a span of 3 * 4 = 12
+        del ranked[:]
+        _assert_codes_like_dict(joint_of([column(3, size), column(4, size)], 0b11, size))
+        assert len(ranked) == passes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.integers(1, 200),
+    columns=st.lists(st.tuples(st.sampled_from(("int", "str", "tuple", "one", "nan")), st.integers(1, 6)),
+                     min_size=1, max_size=6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_joint_codes_equal_dict_codes_of_random_columns(size, columns, seed):
+    rng = np.random.default_rng(seed)
+    parts = [RandomVariable(labels=_label_draw(rng, kind, arity, size)) for kind, arity in columns]
+    (count, codes), firsts = _joint_codes(parts)
+    values, expected = _codes(tuple(zip(*(x.labels for x in parts))))
+    assert count == len(values)
+    assert codes.dtype == firsts.dtype == expected.dtype
+    assert codes.tolist() == expected.tolist()
+    assert firsts.tolist() == _first_points(expected)
+
+
+def test_joint_of_refuses_a_mask_or_size_its_generators_do_not_have():
+    gens = [RandomVariable(labels=(0, 1, 1)), RandomVariable(labels=("a", "a", "b"))]
+    for mask, size, message in (
+        (0b100, 3, "joint mask 4 is not a subset of 1..2"),
+        (-1, 3, "joint mask -1 is not a subset of 1..2"),
+        (True, 3, "joint mask True is a bool, not an int"),
+        (0, 7, "sample-space size mismatch: 7 vs 3"),
+        (0b01, 7, "sample-space size mismatch: 7 vs 3"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            joint_of(gens, mask, size)
+    assert joint_of(gens, 0, 3).labels == ("*",) * 3
+    assert joint_of(gens, 0b01, 3).labels == ((0,), (1,), (1,))
 
 
 def _eager_joint(parts, name=""):
