@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import random
@@ -276,7 +277,8 @@ def _verification_summary(report) -> dict:
 
 def cmd_diagram(config: argparse.Namespace):
     """Atom values, joint totals and a verification summary; returns
-    (document, None), and raises before any write when a check fails."""
+    (document, None), and raises before any write when a check fails.
+    Its ``atoms`` and ``totals`` are the values of masks 1, 2, ...: ``report.atom_values``, ``inst.totals[1:]``."""
     inst, names = build_instance(config)
     report = verify_hu(inst, q_max=config.q_max, tol=config.tol, seed=config.seed)
     if not report.passed:
@@ -285,10 +287,6 @@ def cmd_diagram(config: argparse.Namespace):
             f"diagram identity check failed: max residual {report.max_residual:.3e} "
             f"> tolerance {config.tol:.1e} at q={worst['q']}, L={worst['L']}, J={worst['J']}"
         )
-    atom_entries = [
-        {"subset": list(indices_of(a)), "eta": value} for a, value in sorted(report.atom_values.items())
-    ]
-    totals = []
     full = (1 << inst.n) - 1
     zeta = report.zeta
     for k in range(1, full + 1):
@@ -300,11 +298,10 @@ def cmd_diagram(config: argparse.Namespace):
                 f"total consistency check failed for K={list(indices_of(k))}: "
                 f"F1={f1!r} vs atom sum {cell_sum!r}"
             )
-        totals.append({"K": list(indices_of(k)), "f1": f1})
     return {
         "metadata": _metadata(config, inst, names),
-        "atoms": atom_entries,
-        "totals": totals,
+        "atoms": report.atom_values.values(),
+        "totals": inst.totals[1:],
         "verification": _verification_summary(report),
     }, None
 
@@ -450,8 +447,8 @@ def _json_list(items, indent: str) -> str:
 _CHUNK_ROWS = 1024
 
 
-def _indices_json(indices) -> str:
-    return _json_list([str(i) for i in indices], "      ")
+def _mask_json(mask: int) -> str:
+    return _json_list([str(i) for i in indices_of(mask)], "      ")
 
 
 def _residual_chunks(residuals, fmt, l_text, j_text):
@@ -502,8 +499,7 @@ def _residual_json_chunks(residuals):
     def l_text(key):
         return _json_list([l_entry(l) for l in key[1:1 + key[0]]], "      ")
 
-    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float, l_text,
-                                                       lambda j: _indices_json(indices_of(j))):
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float, l_text, _mask_json):
         yield [
             f'    {{\n      "J": {j},\n      "L": {l},\n'
             f'      "gap": {gap},\n      "lhs": {a},\n      "q": {q},\n      "rhs": {b}\n    }}'
@@ -511,24 +507,29 @@ def _residual_json_chunks(residuals):
         ]
 
 
-def _entry_json_chunks(entries, row):
-    """``row`` of each entry, a list of texts per ``_CHUNK_ROWS`` entries."""
-    for start in range(0, len(entries), _CHUNK_ROWS):
-        yield [row(entry) for entry in entries[start:start + _CHUNK_ROWS]]
+def _mask_chunks(values, row):
+    """``row(mask, value)`` of the values of the masks 1, 2, ..., a list per ``_CHUNK_ROWS``."""
+    rows = enumerate(values, 1)
+    while chunk := [row(mask, value) for mask, value in itertools.islice(rows, _CHUNK_ROWS)]:
+        yield chunk
 
 
-def _atom_json(atom) -> str:
-    return f'    {{\n      "eta": {_json_float(atom["eta"])},\n      "subset": {_indices_json(atom["subset"])}\n    }}'
+def _atom_json(mask: int, eta: float) -> str:
+    return f'    {{\n      "eta": {_json_float(eta)},\n      "subset": {_mask_json(mask)}\n    }}'
 
 
-def _total_json(total) -> str:
-    return f'    {{\n      "K": {_indices_json(total["K"])},\n      "f1": {_json_float(total["f1"])}\n    }}'
+def _total_json(mask: int, f1: float) -> str:
+    return f'    {{\n      "K": {_mask_json(mask)},\n      "f1": {_json_float(f1)}\n    }}'
+
+
+def _atom_csv(mask: int, eta: float) -> str:
+    return f"\"{' '.join(map(str, indices_of(mask)))}\",{eta!r}\n"
 
 
 # the row lists of the documents: each gives a list of row texts per chunk
 _ROW_LISTS = {
-    "atoms": functools.partial(_entry_json_chunks, row=_atom_json),
-    "totals": functools.partial(_entry_json_chunks, row=_total_json),
+    "atoms": functools.partial(_mask_chunks, row=_atom_json),
+    "totals": functools.partial(_mask_chunks, row=_total_json),
     "residuals": _residual_json_chunks,
 }
 
@@ -540,7 +541,7 @@ def _residual_csv_chunks(residuals):
         return "|".join(map(mask_text, key[1:1 + key[0]]))
 
     for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__, l_text, mask_text):
-        yield "".join([f'{q},"{l}","{j}",{a},{b},{gap}\n' for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)])
+        yield [f'{q},"{l}","{j}",{a},{b},{gap}\n' for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)]
 
 
 def _nested_json(value) -> str:
@@ -559,26 +560,22 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
     lists ``atoms``, ``totals`` and ``residuals`` are written by hand in
     their fixed key orders (``eta, subset``; ``K, f1``; ``J, L, gap, lhs,
     q, rhs``), each float as json writes it (``float.__repr__``, or
-    ``NaN``, ``Infinity`` and ``-Infinity``); a ``verify`` document's
-    ``residuals`` are the sweep's residual columns (``report.residuals``),
-    read without building a :class:`Residual` or a dict per row, and each
-    distinct ``lhs``, ``rhs`` or ``gap`` bit pattern is formatted once per
-    write (:func:`_residual_chunks`).  Any other value goes through
-    ``json.dumps``.  A CSV document is one line per atom (``diagram``) or
-    per residual (``verify``, floats by ``float.__repr__``, formatted once
-    per distinct bit pattern as well).  JSON rows and residual CSV lines are
-    formatted ``_CHUNK_ROWS`` at a time, and each chunk goes to the handle
-    as one ``write``.
+    ``NaN``, ``Infinity`` and ``-Infinity``), and no dict is built per
+    row: ``atoms`` and ``totals`` are values by mask (:func:`cmd_diagram`),
+    each index list formatted from its mask, and ``residuals`` are the
+    sweep's columns, each distinct ``lhs``, ``rhs`` or ``gap`` bit pattern
+    formatted once per write (:func:`_residual_chunks`).  Any other value
+    goes through ``json.dumps``.  A CSV document is one line per atom
+    (``diagram``) or per residual (``verify``), floats by ``float.__repr__``.
+    JSON rows and CSV lines are formatted ``_CHUNK_ROWS`` at a time, and
+    each chunk goes to the handle as one ``write``.
     """
     with _output(config.out) as fh:
-        if config.fmt == "csv" and config.command == "diagram":
-            fh.write("subset,eta\n")
-            for entry in doc["atoms"]:
-                fh.write(f"\"{' '.join(map(str, entry['subset']))}\",{entry['eta']!r}\n")
-        elif config.fmt == "csv":
-            fh.write("q,L,J,lhs,rhs,gap\n")
-            for chunk in _residual_csv_chunks(doc["residuals"]):
-                fh.write(chunk)
+        if config.fmt == "csv":
+            diagram = config.command == "diagram"
+            fh.write("subset,eta\n" if diagram else "q,L,J,lhs,rhs,gap\n")
+            for lines in _mask_chunks(doc["atoms"], _atom_csv) if diagram else _residual_csv_chunks(doc["residuals"]):
+                fh.write("".join(lines))
         else:
             sep = "{\n  "
             for key in sorted(doc):

@@ -85,6 +85,8 @@ def _read_document(document):
     cells of a diagram document."""
     meta = document.get("metadata", {})
     generators = meta.get("generators", [])
+    if not isinstance(generators, list):  # a string would be read as one name per character
+        raise TypeError(f"'generators' must be a list, got {type(generators).__name__}")
     n = int(meta.get("n", len(generators)))
     if n not in (2, 3):
         raise DomainError(f"rendering supports n=2,3 only, got n={n}")

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -16,6 +19,7 @@ import infodiagram.cli as cli
 import infodiagram.shannon as shannon
 from infodiagram.cli import main
 from infodiagram.core import indices_of
+from infodiagram.setfun import SetFunction, r1_instance
 
 XOR_CSV = "X,Y,Z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
 
@@ -110,6 +114,13 @@ def _diagram_inputs(tmp_path, case):
     return [*inputs, "--instance", kind]
 
 
+def _old_diagram(doc) -> dict:
+    """The diagram document with one dict per atom and per total, as it used to hold them."""
+    return {**doc,
+            "atoms": [{"subset": list(indices_of(a)), "eta": eta} for a, eta in enumerate(doc["atoms"], 1)],
+            "totals": [{"K": list(indices_of(k)), "f1": f1} for k, f1 in enumerate(doc["totals"], 1)]}
+
+
 @pytest.mark.parametrize("command, case", [
     *(("diagram", kind) for kind in cli.KINDS),
     ("diagram", "setfun-negative-zero"),
@@ -124,6 +135,8 @@ def test_diagram_roundtrip_bit_exact(tmp_path, capsys, monkeypatch, command, cas
     code, out, _ = run(capsys, *argv)
     assert (code, run(capsys, *argv, "--out", str(out_path))[0]) == (0, 0)
     assert len(docs) == 2
+    if command == "diagram":  # the atoms and totals are values in mask order
+        docs = [_old_diagram(doc) for doc in docs]
     for doc, text in zip(docs, (out, out_path.read_text(encoding="utf-8"))):
         fh = io.StringIO()
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -158,6 +171,32 @@ def test_shannon_document_is_the_same_when_joints_build_their_labels_eagerly(tmp
     assert run(capsys, "diagram", table, "--instance", "shannon", "--out", str(eager))[0] == 0
     assert len(built) == 4095
     assert lazy.read_bytes() == eager.read_bytes()
+
+
+def test_diagram_holds_no_row_object_per_atom_or_total(monkeypatch):
+    # the atoms and totals reach the writer as the engine's own values, and
+    # each row's index list is formatted as it is written: at n = 14 the
+    # diagram and its write allocate at most about 2.8 MB at once, against
+    # 12.9 MB with a dict and an index list per atom and per total
+    monkeypatch.setenv("INFODIAGRAM_MAX_N", "14")
+    n = 14
+    rng = random.Random(14)
+    weights = [rng.uniform(0.5, 2.0) for _ in range(n)]
+    values = [math.sqrt(sum(w for i, w in enumerate(weights) if mask >> i & 1)) for mask in range(1 << n)]
+    inst = r1_instance(SetFunction(n, values))
+    monkeypatch.setattr(cli, "build_instance", lambda config: (inst, [str(i) for i in range(1, n + 1)]))
+    for fmt in ("json", "csv"):
+        config = argparse.Namespace(command="diagram", kind="setfun", fmt=fmt, out=os.devnull,
+                                    q_max=3, tol=1e-9, seed=0)
+        tracemalloc.start()
+        try:
+            doc, _ = cli.cmd_diagram(config)
+            cli._write_document(doc, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del doc
+        assert peak < 6e6, (fmt, peak)
 
 
 def test_diagram_csv_format(tmp_path, capsys):
@@ -795,6 +834,7 @@ _ATOMS3 = [{"subset": [1], "eta": 0.5}, {"subset": [2], "eta": 0.5}, {"subset": 
                  id="eta-not-a-number"),
     pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {"subset": [[1], 2], "eta": 0.0}]},
                  id="nested-list-in-subset"),
+    pytest.param({"metadata": {"n": 2, "generators": "ab"}, "atoms": _ATOMS3}, id="generators-not-a-list"),
 ])
 def test_render_rejects_malformed_documents(tmp_path, capsys, doc):
     doc_path = write(tmp_path, "doc.json", json.dumps(doc))
