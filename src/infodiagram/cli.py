@@ -83,30 +83,30 @@ _XOR_ROWS = [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")]
 
 
 def read_table(path: str):
-    """Read a CSV/TSV sample table: header of variable names, one sample per
-    row, optional ``__weight`` column.  Returns (names, rows, weights)."""
+    """Read a CSV/TSV sample table in one pass, blank lines skipped: header of variable
+    names, one sample per row, optional ``__weight`` column.  Returns (names, rows, weights)."""
     delimiter = "\t" if str(path).endswith(".tsv") else ","
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-            raw = list(csv.reader(fh, delimiter=delimiter))
+            reader = filter(None, csv.reader(fh, delimiter=delimiter))
+            header, first = next(reader, None), next(reader, None)
+            if first is None:
+                raise IngestionError(f"{path}: need a header row and at least one sample row")
+            header = [name.strip() for name in header]
+            if header.count("__weight") > 1:
+                raise IngestionError(f"{path}: more than one __weight column")
+            weight_col = header.index("__weight") if "__weight" in header else None
+            names = [name for i, name in enumerate(header) if i != weight_col]
+            if not names:
+                raise IngestionError(f"{path}: no variable columns")
+            rows, weights = [], []
+            for i, row in enumerate(itertools.chain([first], reader), start=1):
+                if len(row) != len(header):
+                    raise IngestionError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
+                weights.append(1.0 if weight_col is None else _weight(row.pop(weight_col), f"{path} row {i}"))
+                rows.append(tuple(row))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field past the csv module's limit
         raise IngestionError(f"{path}: {exc}") from exc
-    raw = [row for row in raw if row]
-    if len(raw) < 2:
-        raise IngestionError(f"{path}: need a header row and at least one sample row")
-    header = [name.strip() for name in raw[0]]
-    if header.count("__weight") > 1:
-        raise IngestionError(f"{path}: more than one __weight column")
-    weight_col = header.index("__weight") if "__weight" in header else None
-    names = [name for i, name in enumerate(header) if i != weight_col]
-    if not names:
-        raise IngestionError(f"{path}: no variable columns")
-    rows, weights = [], []
-    for i, row in enumerate(raw[1:], start=1):
-        if len(row) != len(header):
-            raise IngestionError(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
-        rows.append(tuple(v for j, v in enumerate(row) if j != weight_col))
-        weights.append(1.0 if weight_col is None else _weight(row[weight_col], f"{path} row {i}"))
     return names, rows, weights
 
 
@@ -122,12 +122,8 @@ def paired_empirical(path_p: str, path_q: str):
     names_q, rows_q, weights_q = read_table(path_q)
     if names_p != names_q:
         raise IngestionError(f"variable names differ between {path_p} and {path_q}: {names_p} vs {names_q}")
-    points, (masses_p, masses_q) = _sample_space(
-        [(rows_p, weights_p, f"{path_p}: "), (rows_q, weights_q, f"{path_q}: ")]
-    )
-    pair = DistPair(p=Dist(masses=masses_p, points=points), q=Dist(masses=masses_q, points=points))
-    gens = [RandomVariable(labels=column, name=name) for column, name in zip(zip(*points), names_p)]
-    return pair, gens, names_p
+    p, q, gens = _sample_space([(rows_p, weights_p, f"{path_p}: "), (rows_q, weights_q, f"{path_q}: ")], names_p)
+    return DistPair(p=p, q=q), gens, names_p
 
 
 def _load_json(path: str):
@@ -363,7 +359,7 @@ def cmd_examples(config: argparse.Namespace):
         expected = -1.0
         detail = {
             "construction": "XOR target, exact Bayes log-loss errors",
-            "errors": {"" if m == 0 else " ".join(map(str, indices_of(m))): evaluator(m) for m in range(4)},
+            "errors": {_mask_text(m): evaluator(m) for m in range(4)},
             "term": "degree-2 mutual advantage of the two features",
         }
     elif name == "venn-decomposition":
@@ -522,8 +518,12 @@ def _total_json(mask: int, f1: float) -> str:
     return f'    {{\n      "K": {_mask_json(mask)},\n      "f1": {_json_float(f1)}\n    }}'
 
 
+def _mask_text(mask: int) -> str:  # a CSV subset cell, an examples error key
+    return " ".join(map(str, indices_of(mask)))
+
+
 def _atom_csv(mask: int, eta: float) -> str:
-    return f"\"{' '.join(map(str, indices_of(mask)))}\",{eta!r}\n"
+    return f'"{_mask_text(mask)}",{eta!r}\n'
 
 
 # the row lists of the documents: each gives a list of row texts per chunk
@@ -535,7 +535,7 @@ _ROW_LISTS = {
 
 
 def _residual_csv_chunks(residuals):
-    mask_text = functools.cache(lambda mask: " ".join(map(str, indices_of(mask))))
+    mask_text = functools.cache(_mask_text)
 
     def l_text(key):
         return "|".join(map(mask_text, key[1:1 + key[0]]))

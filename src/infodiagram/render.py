@@ -81,26 +81,30 @@ def render_venn(document: dict) -> str:
 
 
 def _read_document(document):
-    """The title, the first n generator names, n and the (subset, value)
-    cells of a diagram document."""
+    """The title, the first n generator names, n and the (subset, value) cells of a diagram document."""
     meta = document.get("metadata", {})
     generators = meta.get("generators", [])
     if not isinstance(generators, list):  # a string would be read as one name per character
         raise TypeError(f"'generators' must be a list, got {type(generators).__name__}")
-    n = int(meta.get("n", len(generators)))
+    n = meta.get("n", len(generators))
+    if isinstance(n, bool) or not isinstance(n, int):  # not 2.9, "2" or true
+        raise TypeError(f"'n' must be an integer, got {n!r}")
     if n not in (2, 3):
         raise DomainError(f"rendering supports n=2,3 only, got n={n}")
     atoms = document.get("atoms", [])
     if len(atoms) != (1 << n) - 1:
         raise DomainError(f"document has {len(atoms)} atoms, expected {(1 << n) - 1}")
-    cells = []
+    cells = {}
     for entry in atoms:
-        subset = tuple(entry["subset"])
-        value = float(entry["eta"])
+        subset, value = tuple(entry["subset"]), entry["eta"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number: not true, "nan" or "1e3"
+            raise TypeError(f"atom value {value!r} is not a number")
         if subset not in _CELL_XY[n]:
             raise DomainError(f"unexpected atom subset {list(subset)} for n={n}")
-        cells.append((subset, value))
-    return str(meta.get("instance", "diagram")), [str(name) for name in generators[:n]], n, cells
+        if subset in cells:  # with the count checked, a repeat leaves another subset out
+            raise ValueError(f"atom subset {list(subset)} appears twice")
+        cells[subset] = float(value)
+    return str(meta.get("instance", "diagram")), [str(name) for name in generators[:n]], n, cells.items()
 
 
 def _esc(text: str) -> str:

@@ -15,8 +15,8 @@ the value ``-sum of P_X(x) log P_X(x)`` with weights ``w = P_X``, the
 function satisfying the chain rule ``H(XY) = H(X) + X.H(Y)``.
 
 Conventions: ``0 * log 0 = 0``; conditioning on a zero-probability value
-returns the distribution unchanged; natural log by default, ``base="bits"``
-for binary.
+returns the distribution unchanged, and a pair on a value of P-probability
+zero too; natural log by default, ``base="bits"`` for binary.
 """
 
 from __future__ import annotations
@@ -337,8 +337,9 @@ def condition(p: Dist, x: RandomVariable, value) -> Dist:
 
 
 def condition_pair(pair: DistPair, x: RandomVariable, value) -> DistPair:
-    """Condition both distributions of a pair on the same event."""
-    return DistPair(p=condition(pair.p, x, value), q=condition(pair.q, x, value))
+    """Both distributions of a pair conditioned on one event; the pair itself if P gives it probability zero."""
+    p = condition(pair.p, x, value)  # p itself where P gives the event probability zero
+    return pair if p is pair.p else DistPair(p=p, q=condition(pair.q, x, value))
 
 
 def act(x: RandomVariable, f, p: Dist) -> float:
@@ -558,29 +559,26 @@ def _weight(raw, where: str) -> float:
     return w
 
 
-def _sample_space(tables):
-    """Distinct rows of one or more ``(rows, weights, where)`` tables and their masses.
+def _sample_space(tables, names):
+    """The distribution of each ``(rows, weights, where)`` table, then a generator per column named by ``names``.
 
     The sample space is the distinct rows of all tables in first-occurrence
     order, at most ``MAX_SAMPLE_POINTS`` of them; each table's masses are
     its weighted counts normalized by their ``math.fsum``.  ``where``
-    prefixes a table's zero-total message.  Returns ``(points, masses)``
-    with one mass array per table.
+    prefixes a table's zero-total message.
     """
     points, codes = _codes((row for rows, _, _ in tables for row in rows), MAX_SAMPLE_POINTS)
     if len(points) > MAX_SAMPLE_POINTS:
         raise IngestionError(f"more than {MAX_SAMPLE_POINTS} distinct sample points")
-    masses = []
-    start = 0
+    dists, start = [], 0
     for rows, weights, where in tables:
-        stop = start + len(rows)
-        acc = np.bincount(codes[start:stop], weights=weights, minlength=len(points))
+        acc = np.bincount(codes[start:start + len(rows)], weights=weights, minlength=len(points))
         total = math.fsum(acc)
         if total <= 0:
             raise IngestionError(f"{where}total weight must be positive")
-        masses.append(acc / total)
-        start = stop
-    return points, masses
+        dists.append(Dist(masses=acc / total, points=points))
+        start += len(rows)
+    return *dists, [RandomVariable(labels=column, name=name) for column, name in zip(zip(*points), names)]
 
 
 def empirical_from_rows(rows, weights=None):
@@ -600,7 +598,4 @@ def empirical_from_rows(rows, weights=None):
         if len(row) != width:
             raise IngestionError(f"row {i}: expected {width} columns, got {len(row)}")
         weights[i] = _weight(weights[i], f"row {i}")
-
-    points, (masses,) = _sample_space([(rows, weights, "")])
-    variables = [RandomVariable(labels=column) for column in zip(*points)]
-    return Dist(masses=masses, points=points), variables
+    return _sample_space([(rows, weights, "")], [""] * width)

@@ -298,6 +298,49 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
     assert docs[1] == docs[0]
 
 
+def test_read_table_holds_one_copy_of_the_table(tmp_path):
+    # one pass over the reader: no whole-file list of fields and filtered copy beside the rows kept
+    rng = random.Random(7)
+    n, count = 12, 20_000
+    lines = [",".join(f"x{j + 1}" for j in range(n))]
+    lines += [",".join(str(rng.randrange(3)) for _ in range(n)) for _ in range(count)]
+    path = write(tmp_path, "wide.csv", "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        names, rows, weights = cli.read_table(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(names), len(rows), len(weights)) == (n, count, count)
+    assert peak <= 1.25 * held, (peak, held)
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("0,0,1\n\n\n1,1,heavy\n", "row 2: weight 'heavy' is not a number", id="weight"),
+    pytest.param("0,0,1\n\n1,1\n", "row 2: expected 3 fields, got 2", id="ragged"),
+])
+def test_row_numbers_skip_blank_lines(tmp_path, capsys, body, message):
+    csv_path = write(tmp_path, "gaps.csv", "\nA,B,__weight\n\n" + body + "\n")
+    code, out, err = run(capsys, "diagram", csv_path, "--instance", "shannon")
+    assert (code, out) == (2, "")
+    assert err == f"ingestion error: {csv_path} {message}\n"
+
+
+def test_paired_table_with_itself_is_its_empirical_distribution(tmp_path):
+    rng = random.Random(3)
+    body = "".join(f"{rng.randrange(3)},{rng.randrange(2)},{rng.randrange(4)},{rng.uniform(0.1, 2.0)!r}\n"
+                   for _ in range(300))
+    table = write(tmp_path, "t.csv", "A,B,C,__weight\n" + body)
+    pair, gens, names = cli.paired_empirical(table, table)
+    names_t, rows, weights = cli.read_table(table)
+    dist, ref = shannon.empirical_from_rows(rows, weights)
+    assert names == names_t == [g.name for g in gens] == ["A", "B", "C"]
+    assert pair.p.points == dist.points
+    assert pair.p.masses.tobytes() == pair.q.masses.tobytes() == dist.masses.tobytes()
+    assert [g.partition() for g in gens] == [g.partition() for g in ref]
+
+
 @pytest.mark.parametrize("kind", ["tsallis", "alpha-kl"])
 def test_negative_alpha_needs_strictly_positive_masses(tmp_path, capsys, kind):
     # conditioning zeroes masses, which a negative power cannot take
@@ -835,6 +878,12 @@ _ATOMS3 = [{"subset": [1], "eta": 0.5}, {"subset": [2], "eta": 0.5}, {"subset": 
     pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {"subset": [[1], 2], "eta": 0.0}]},
                  id="nested-list-in-subset"),
     pytest.param({"metadata": {"n": 2, "generators": "ab"}, "atoms": _ATOMS3}, id="generators-not-a-list"),
+    # n is a JSON integer: 2.9 and "2" are not read as 2, nor true as 1
+    *(pytest.param({"metadata": {"n": n}, "atoms": _ATOMS3}, id=f"n-{n!r}") for n in (2.9, "2", True)),
+    # an atom value is a JSON number: not a boolean or a numeric string
+    *(pytest.param({"metadata": {"n": 2}, "atoms": [*_ATOMS3[:2], {"subset": [1, 2], "eta": eta}]},
+                   id=f"eta-{eta!r}") for eta in (True, "nan", "1e3")),
+    pytest.param({"metadata": {"n": 2}, "atoms": [_ATOMS3[0], _ATOMS3[0], _ATOMS3[2]]}, id="subset-twice-one-missing"),
 ])
 def test_render_rejects_malformed_documents(tmp_path, capsys, doc):
     doc_path = write(tmp_path, "doc.json", json.dumps(doc))

@@ -33,7 +33,7 @@ from infodiagram import (
     verify_hu,
 )
 from infodiagram.divergences import MIN_ALPHA_MASS
-from infodiagram.shannon import condition
+from infodiagram.shannon import condition, condition_pair
 
 KL_BERNOULLI_34_14_BITS = 0.792481250360578  # (1/2) log2 3
 
@@ -91,6 +91,17 @@ def test_divergences_re_exports_the_pair_machinery():
     # divergences holds formulas only; the pair and its conditioning are re-exported
     assert infodiagram.divergences.DistPair is infodiagram.shannon.DistPair is DistPair
     assert infodiagram.divergences.condition_pair is infodiagram.shannon.condition_pair
+
+
+def test_condition_pair_on_a_p_null_event_returns_the_pair_unchanged():
+    # as condition does for a distribution; P is not left unconditioned beside a conditioned Q
+    pair = DistPair(p=Dist(masses=np.array([0.5, 0.5, 0.0])), q=Dist(masses=np.array([0.25, 0.25, 0.5])))
+    x = RandomVariable(labels=("a", "a", "b"))
+    assert condition_pair(pair, x, "b") is pair
+    # on an event P sees, both are conditioned
+    given_a = condition_pair(pair, x, "a")
+    assert given_a.p.masses.tolist() == [0.5, 0.5, 0.0]
+    assert given_a.q.masses.tolist() == [0.5, 0.5, 0.0]
 
 
 # ---------------------------------------------------------------------------
