@@ -1,11 +1,12 @@
 """How the engine keeps itself honest: dual routes, oracles, fault injection.
 
-Every quantity here can be computed two independent ways: atom values by a
-closed-form alternating sum and by a dense linear solve; interaction terms
-by their recursion and by inclusion-exclusion; and each conditional term
-against the measure of its diagram region.  A broken instance (one
-perturbed value) is caught immediately by the chain-rule gate.  Relative
-computations let a fixed block of arguments ride along for free.
+Every quantity here can be computed at least two independent ways: atom
+values by an n * 2**n Moebius transform, by a closed-form alternating sum and
+by a dense linear solve; interaction terms by their recursion and by
+inclusion-exclusion; and each conditional term against the measure of its
+diagram region.  A broken instance (one perturbed value) is caught
+immediately by the chain-rule gate.  Relative computations let a fixed block
+of arguments ride along for free.
 
 Run:  python demos/04_oracles_and_verification.py
 """
@@ -16,6 +17,7 @@ from infodiagram import (
     ChainRuleInstance,
     SetFunction,
     VerificationError,
+    atom_measure,
     atom_table,
     atoms,
     empirical_from_rows,
@@ -33,13 +35,14 @@ from infodiagram import (
 def main():
     rng = np.random.default_rng(11)
 
-    print("1. Two routes to every atom value (random set function, n = 4):")
+    print("1. Three routes to every atom value (random set function, n = 4):")
     fn = SetFunction(n=4, values=tuple(rng.uniform(0.0, 1.0, 16)))
     inst = r1_instance(fn)
-    solved = mobius_oracle(inst)
-    closed = atom_table(inst)
-    gap = max(abs(solved[a] - closed[a]) for a in atoms(4))
-    print(f"   closed-form sum vs 15x15 linear solve: max gap {gap:.2e}")
+    transform = atom_table(inst)
+    closed = {a: atom_measure(inst, a) for a in atoms(4)}
+    for name, values in (("closed-form sum", closed), ("15x15 linear solve", mobius_oracle(inst))):
+        gap = max(abs(values[a] - transform[a]) for a in atoms(4))
+        print(f"   Moebius transform vs {name}: max gap {gap:.2e}")
     print()
 
     print("2. Two routes to every interaction term:")

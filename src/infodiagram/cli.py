@@ -43,6 +43,7 @@ from .core import (
     DomainError,
     VerificationError,
     _check_n,
+    _is_int,
     _sweep_plan,
     indices_of,
     interaction,
@@ -85,7 +86,7 @@ _XOR_ROWS = [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0")]
 def read_table(path: str):
     """Read a CSV/TSV sample table in one pass, blank lines skipped: header of variable
     names, one sample per row, optional ``__weight`` column.  Returns (names, rows, weights)."""
-    delimiter = "\t" if str(path).endswith(".tsv") else ","
+    delimiter = "\t" if str(path).lower().endswith(".tsv") else ","
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             reader = filter(None, csv.reader(fh, delimiter=delimiter))
@@ -153,7 +154,7 @@ def _read_subset_table(path: str, field_name: str, table_type):
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
     n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise IngestionError(f"{path}: 'n' must be a positive integer")
     _check_n(n)  # before anything of size 2**n is built
     table = doc[field_name]
@@ -166,7 +167,7 @@ def _read_subset_table(path: str, field_name: str, table_type):
             yield key, _parse_subset_key(key, n), val
             # once the key has passed the range and duplicate checks: a JSON
             # number, not a boolean or a numeric string; the set function checks its range
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
+            if not (_is_int(val) or isinstance(val, float)):
                 raise DomainError(f"value for subset {raw_key!r} is not a number")
 
     try:

@@ -95,9 +95,14 @@ def max_generators() -> int:
     return cap
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: the one integer rule for counts, masks, indices and subset keys."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_n(n: int) -> None:
     cap = max_generators()
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > cap:
+    if not _is_int(n) or n < 1 or n > cap:
         raise DomainError(
             f"generator count n={n} outside 1..{cap} "
             "(raise the cap with INFODIAGRAM_MAX_N)"
@@ -123,13 +128,10 @@ def _check_vector(n: int, values, what: str) -> tuple:
 
 
 def _check_element(mask: int, n: int, what: str = "element") -> None:
-    # a plain int in range passes on the first test; a bool is an int to
-    # isinstance but no mask, as True is no generator count for _check_n
-    if type(mask) is not int or mask < 0 or mask >= (1 << n):
-        if isinstance(mask, bool) or not isinstance(mask, int):
-            raise DomainError(f"{what} mask {mask!r} is a {type(mask).__name__}, not an int")
-        if mask < 0 or mask >= (1 << n):
-            raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
+    if type(mask) is not int and not _is_int(mask):  # a plain int skips the call on this hot path
+        raise DomainError(f"{what} mask {mask!r} is a {type(mask).__name__}, not an int")
+    if mask < 0 or mask >= (1 << n):
+        raise DomainError(f"{what} mask {mask} is not a subset of 1..{n}")
 
 
 def _check_term(l_masks, j_mask: int, n: int) -> tuple:
@@ -148,7 +150,7 @@ def mask_of(indices) -> int:
     """Bitmask of a collection of 1-based generator indices."""
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or i < 1:
+        if not _is_int(i) or i < 1:
             raise DomainError(f"generator indices are 1-based positive ints, got {i!r}")
         mask |= 1 << (i - 1)
     return mask
@@ -156,14 +158,9 @@ def mask_of(indices) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based generator indices of a bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    if not _is_int(mask) or mask < 0:
+        raise DomainError(f"mask {mask!r} is not a nonnegative int")
+    return tuple([i + 1 for i in range(mask.bit_length()) if mask >> i & 1])  # a list: a generator raised peak RSS
 
 
 def atoms(n: int) -> list[int]:
@@ -470,8 +467,8 @@ def mobius_oracle(inst: ChainRuleInstance, tol: float = DEFAULT_TOL) -> dict[int
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:  # unreachable for this incidence matrix
         raise VerificationError(f"internal error: atom system reported singular: {exc}") from exc
-    residual = float(np.max(np.abs(a @ x - b))) if m else 0.0
-    scale = max(1.0, float(np.max(np.abs(b)))) if m else 1.0
+    residual = float(np.max(np.abs(a @ x - b)))
+    scale = max(1.0, float(np.max(np.abs(b))))
     if not residual <= tol * scale:
         raise VerificationError(
             f"internal error: atom system residual {residual:.3e} exceeds tolerance {tol:.1e}"
@@ -648,8 +645,8 @@ def _sweep_plan(n: int, q_max: int, mode: str = "auto", samples: int = VERIFY_SA
     or a :class:`DomainError` for one past its caps, which depend on n alone.
     ``auto`` checks every sorted q-tuple against every conditioning element
     up to n = ``VERIFY_EXHAUSTIVE_MAX_N`` and draws ``samples`` checks beyond."""
-    if q_max < 1:
-        raise DomainError(f"q_max must be >= 1, got {q_max}")
+    if not (_is_int(q_max) and _is_int(samples)) or q_max < 1:
+        raise DomainError(f"q_max must be an int >= 1 and samples an int, got {q_max!r} and {samples!r}")
     if mode == "auto":
         mode = "exhaustive" if n <= VERIFY_EXHAUSTIVE_MAX_N else "sampled"
     if mode not in ("exhaustive", "sampled"):

@@ -6,7 +6,7 @@ so identical documents render to byte-identical SVG.
 
 from __future__ import annotations
 
-from .core import DomainError
+from .core import DomainError, _is_int
 
 # cell label anchor per atom subset (keys are sorted index tuples)
 _CELL_XY = {
@@ -87,7 +87,7 @@ def _read_document(document):
     if not isinstance(generators, list):  # a string would be read as one name per character
         raise TypeError(f"'generators' must be a list, got {type(generators).__name__}")
     n = meta.get("n", len(generators))
-    if isinstance(n, bool) or not isinstance(n, int):  # not 2.9, "2" or true
+    if not _is_int(n):  # not 2.9, "2" or true
         raise TypeError(f"'n' must be an integer, got {n!r}")
     if n not in (2, 3):
         raise DomainError(f"rendering supports n=2,3 only, got n={n}")
@@ -97,9 +97,9 @@ def _read_document(document):
     cells = {}
     for entry in atoms:
         subset, value = tuple(entry["subset"]), entry["eta"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):  # a JSON number: not true, "nan" or "1e3"
+        if not (_is_int(value) or isinstance(value, float)):  # a JSON number: not true, "nan" or "1e3"
             raise TypeError(f"atom value {value!r} is not a number")
-        if subset not in _CELL_XY[n]:
+        if subset not in _CELL_XY[n] or not all(map(_is_int, subset)):  # true and 2.0 match the keys 1 and 2
             raise DomainError(f"unexpected atom subset {list(subset)} for n={n}")
         if subset in cells:  # with the count checked, a repeat leaves another subset out
             raise ValueError(f"atom subset {list(subset)} appears twice")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainRuleInstance, DomainError, _check_element, _check_n, _check_vector, indices_of, mask_of
+from .core import ChainRuleInstance, DomainError, _check_element, _check_n, _check_vector, _is_int, indices_of, mask_of
 from .shannon import Dist, RandomVariable, _check_same_size, entropy, joint, joint_of, shannon_instance
 
 SUBMODULAR_MAX_N = 12
@@ -55,13 +55,15 @@ class SetFunction:
 
 
 def _key_mask(key, n: int) -> int:
-    """The mask of a bitmask or an iterable of 1-based indices, or -1, a
+    """The mask of an int mask or an iterable of 1-based indices, or -1, a
     mask the range check refuses, when an index lies past ``n``; the mask of
-    such an index, 2**index, is never built."""
-    if isinstance(key, int):
+    such an index, 2**index, is never built.  Any other key is a DomainError."""
+    if _is_int(key):
         return key
+    if not hasattr(key, "__iter__"):  # 1.0, None or True: refused by name, not by a bare TypeError
+        raise DomainError(f"subset key {key!r} is neither an int mask nor an iterable of indices")
     indices = tuple(key)
-    within = [i for i in indices if not (isinstance(i, int) and i > n)]
+    within = [i for i in indices if not (_is_int(i) and i > n)]
     mask = mask_of(within)  # refuses an index that is not a positive int
     return mask if len(within) == len(indices) else -1
 

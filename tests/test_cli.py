@@ -216,6 +216,9 @@ def test_diagram_tsv_and_weights(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert atom_value(doc, (1, 2)) == pytest.approx(1.0, abs=1e-12)
+    # the extension is matched without regard to case: a .TSV table is a TSV table
+    upper_path = write(tmp_path, "t.TSV", "A\tB\t__weight\n0\t0\t1\n1\t1\t1\n")
+    assert run(capsys, "diagram", upper_path, "--instance", "shannon", "--base", "bits") == (0, out, "")
 
 
 def test_diagram_tsallis_requires_alpha(tmp_path, capsys):
@@ -891,6 +894,17 @@ def test_render_rejects_malformed_documents(tmp_path, capsys, doc):
     code, out, err = run(capsys, "render", doc_path, str(svg_path))
     assert (code, out) == (2, "")
     assert err.startswith("ingestion error: malformed diagram document (")
+    assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("subset", [[True], [2.0]], ids=repr)
+def test_render_refuses_subset_indices_that_are_not_ints(tmp_path, capsys, subset):
+    # true and 2.0 equal the indices 1 and 2 as dict keys, but are no JSON integers
+    atoms = [{"subset": subset, "eta": 0.5}, *(a for a in _ATOMS3 if a["subset"] != [int(subset[0])])]
+    doc_path = write(tmp_path, "doc.json", json.dumps({"metadata": {"n": 2}, "atoms": atoms}))
+    svg_path = tmp_path / "no.svg"
+    code, out, err = run(capsys, "render", doc_path, str(svg_path))
+    assert (code, out, err) == (2, "", f"ingestion error: unexpected atom subset {subset!r} for n=2\n")
     assert not svg_path.exists()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from infodiagram import (
     circle_region,
     empirical_from_rows,
     hu_region,
+    indices_of,
     interaction,
     interaction_incl_excl,
+    mask_of,
     mobius_oracle,
     r1_instance,
     region_atoms,
@@ -36,6 +39,7 @@ from infodiagram import (
     validate_action_form,
     verify_hu,
 )
+from infodiagram.core import _sweep_plan
 
 
 def random_r1(rng, n, dyadic=False):
@@ -520,6 +524,20 @@ def test_verify_rejects_empty_sample_before_any_work():
             verify_hu(inst, mode="sampled", samples=samples)
 
 
+def test_verify_refuses_sizes_that_are_not_ints_before_any_work():
+    def untouchable(y, z):
+        raise AssertionError("k1 evaluated before the argument check")
+
+    inst = ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0, 2.0), k1=untouchable)
+    # q_max and samples follow the engine's integer rule: a bool, a float or a string is no count
+    for kwargs in ({"q_max": True}, {"q_max": 2.0}, {"q_max": "2"},
+                   {"mode": "sampled", "samples": True}, {"mode": "sampled", "samples": 2.5}):
+        with pytest.raises(DomainError, match="must be an int"):
+            verify_hu(inst, **kwargs)
+        with pytest.raises(DomainError, match="must be an int"):
+            _sweep_plan(2, **{"q_max": 3, **kwargs})
+
+
 def test_rescaled_conditional_fails_against_its_totals():
     # a nats conditional obeys the chain rule on its own, but not with bits totals
     rng = np.random.default_rng(262)
@@ -583,6 +601,30 @@ def test_boolean_masks_are_refused():
         with pytest.raises(DomainError, match=rf"^{what} is a bool, not an int$"):
             call()
     assert interaction(inst, (1,), 0) == interaction(inst, (1,), int(False)) == 1.0
+
+
+def test_masks_and_indices_follow_the_integer_rule():
+    class NoWalk(int):  # fails at its first shift, so a walk over its bits cannot run on
+        def __rshift__(self, other):
+            raise AssertionError("mask walked before its sign was checked")
+
+    inst = ChainRuleInstance(n=2, totals=(0.0, 1.0, 1.0, 2.0))
+    # a negative mask has no finite bit set: refused, not walked without end
+    for call in (lambda: indices_of(NoWalk(-1)), lambda: region_atoms(NoWalk(-1)),
+                 lambda: region_measure(inst, NoWalk(-1))):
+        with pytest.raises(DomainError, match=r"^mask -1 is not a nonnegative int$"):
+            call()
+    for bad in (-1, -6, True, 1.0, "1", None, np.int64(1)):
+        with pytest.raises(DomainError, match=rf"^mask {re.escape(repr(bad))} is not a nonnegative int$"):
+            indices_of(bad)
+    with pytest.raises(DomainError, match=r"^mask -1 is not a nonnegative int$"):
+        region_measure(inst, -1)
+    for bad in ([True], [1, False], [2.0], [0]):
+        with pytest.raises(DomainError, match="1-based positive ints"):
+            mask_of(bad)
+    for mask, indices in ((0, ()), (1, (1,)), (0b1011, (1, 2, 4)), (1 << 70, (71,))):
+        assert indices_of(mask) == indices
+        assert mask_of(indices) == mask
 
 
 def test_default_conditional_is_the_totals_difference():

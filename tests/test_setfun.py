@@ -115,6 +115,13 @@ def test_from_mapping_rejects_bad_and_repeated_keys():
         assert peak < 1_000_000
     with pytest.raises(DomainError, match=r"^set function is not total; missing subset \[1, 2\]$"):
         SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0})
+    # a key is an int mask or an iterable of 1-based indices: True is neither mask 1 nor index 1
+    for key in (True, 1.0, None):
+        with pytest.raises(DomainError, match=rf"^subset key {re.escape(repr(key))} is neither an int mask nor an iterable"):
+            SetFunction.from_mapping(1, {0: 0.0, key: 1.0})
+    for key in ((True,), (1.0,)):
+        with pytest.raises(DomainError, match=rf"1-based positive ints, got {re.escape(repr(key[0]))}$"):
+            SetFunction.from_mapping(1, {0: 0.0, key: 1.0})
 
 
 # ---------------------------------------------------------------------------
