@@ -100,6 +100,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_samples(samples) -> None:
+    if not _is_int(samples) or samples < 0:
+        raise DomainError(f"samples must be an int >= 0, got {samples!r}")
+
+
 def _check_n(n: int) -> None:
     cap = max_generators()
     if not _is_int(n) or n < 1 or n > cap:
@@ -148,6 +153,8 @@ def _check_term(l_masks, j_mask: int, n: int) -> tuple:
 
 def mask_of(indices) -> int:
     """Bitmask of a collection of 1-based generator indices."""
+    if not hasattr(indices, "__iter__"):  # 5 or None: refused by name, not by a bare TypeError
+        raise DomainError(f"generator indices must be a collection of 1-based ints, got {indices!r}")
     mask = 0
     for i in indices:
         if not _is_int(i) or i < 1:
@@ -341,9 +348,11 @@ def _subset_zeta(values: dict[int, float], n: int) -> np.ndarray:
     return zeta
 
 
-# rows times 2**q zeta lookups gathered at once by _region_sums; on the
-# n = 5, q = 3 rows of an exhaustive sweep (2 vCPUs) 2**15 took 8 ms,
-# 2**18 7 ms and 2**10 59 ms
+# verify_hu fills its residuals in blocks of _REGION_BLOCK_TERMS >> q_max
+# rows: each block takes its lhs from the next rows' interaction calls and
+# its rhs from one _region_sums call per degree, so no temporary grows with
+# the table.  On the n = 5, q = 3 rows of an exhaustive sweep (2 vCPUs)
+# 2**15 took 8 ms, 2**18 7 ms and 2**10 59 ms of region sums
 _REGION_BLOCK_TERMS = 1 << 15
 
 
@@ -357,23 +366,17 @@ def _region_sums(zeta: np.ndarray, l_cols: np.ndarray, j_col: np.ndarray) -> np.
     terms are added to 0.0 one after another in that order, so every sum
     is the one a plain loop over the terms gives, to the bit.
     """
-    rows, q = l_cols.shape
     full = len(zeta) - 1
-    out = np.empty(rows)
-    step = max(1, _REGION_BLOCK_TERMS >> q)
-    for start in range(0, rows, step):
-        block = slice(start, start + step)
-        terms = [(False, j_col[block])]  # (|S| odd, j | L_S)
-        for p in range(q):
-            terms += [(not odd, union | l_cols[block, p]) for odd, union in terms]
-        acc = np.zeros(len(terms[0][1]))
-        for odd, union in terms:
-            if odd:
-                acc -= zeta[full ^ union]
-            else:
-                acc += zeta[full ^ union]
-        out[block] = acc
-    return out
+    terms = [(False, j_col)]  # (|S| odd, j | L_S)
+    for p in range(l_cols.shape[1]):
+        terms += [(not odd, union | l_cols[:, p]) for odd, union in terms]
+    acc = np.zeros(len(j_col))
+    for odd, union in terms:
+        if odd:
+            acc -= zeta[full ^ union]
+        else:
+            acc += zeta[full ^ union]
+    return acc
 
 
 def region_measure(inst: ChainRuleInstance, region: int) -> float:
@@ -491,6 +494,7 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     if samples is None:
         pairs = ((y, z) for y in range(size) for z in range(size))
     else:
+        _check_samples(samples)
         rng = random.Random(seed)
         pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
     gaps = [0.0]
@@ -521,6 +525,7 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     """
     if not inst.has_action_form():
         raise DomainError("instance carries no action form (f1/action/evaluate)")
+    _check_samples(samples)
     rng = random.Random(seed)
     size = 1 << inst.n
     ev = inst.evaluate
@@ -683,8 +688,10 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     are float-identical); a sampled one draws its checks with a fixed seed.
 
     The residuals are six preallocated columns (q, the L masks padded to
-    ``q_max``, J, lhs, rhs and gap), which ``DiagramReport.residuals``
-    reads as a sequence of :class:`Residual`; no per-check object is made.
+    ``q_max``, J, lhs, rhs and gap), read as :class:`Residual` rows.  Each
+    mode fills q, L and J and yields its checks in row order; one pass over
+    row blocks takes each block's lhs from the next checks and its rhs from
+    one region-sum gather per degree, so nothing else grows with the table.
 
     If the instance's conditional disagrees with its totals beyond
     ``tol``, a :class:`VerificationError` naming the violating (Y, Z)
@@ -720,22 +727,28 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
             # each L tuple heads `size` rows, one per J
             res.l[rows].reshape(len(tuples), size, q_max)[:, :, :q] = np.array(tuples)[:, None, :]
             res.j[rows].reshape(len(tuples), size)[:] = np.arange(size)
-            res.lhs[rows] = np.fromiter((interaction(inst, l_tuple, j) for l_tuple in tuples for j in range(size)),
-                                        float, len(tuples) * size)
             start = rows.stop
+        lhs = (interaction(inst, l_tuple, j) for q in range(1, q_max + 1)
+               for l_tuple in combinations_with_replacement(range(size), q) for j in range(size))
     else:
-        rng = random.Random(seed)
-        for i in range(samples):
-            q = rng.randint(1, q_max)
-            l_tuple = tuple(sorted(rng.randrange(size) for _ in range(q)))
-            j = rng.randrange(size)
-            res.q[i] = q
-            res.l[i, :q] = l_tuple
-            res.j[i] = j
-            res.lhs[i] = interaction(inst, l_tuple, j)
-    for q in range(1, q_max + 1):
-        rows = np.flatnonzero(res.q == q)
-        res.rhs[rows] = _region_sums(zeta, res.l[rows, :q], res.j[rows])
+        def draws():  # writes each row's q, L and J as the block loop reads its lhs
+            rng = random.Random(seed)
+            for i in range(samples):
+                q = rng.randint(1, q_max)
+                l_tuple = tuple(sorted(rng.randrange(size) for _ in range(q)))
+                j = rng.randrange(size)
+                res.q[i], res.l[i, :q], res.j[i] = q, l_tuple, j
+                yield interaction(inst, l_tuple, j)
+
+        lhs = draws()
+    step = max(1, _REGION_BLOCK_TERMS >> q_max)
+    for start in range(0, checks, step):
+        block = slice(start, start + step)
+        q_col, l_cols, j_col = res.q[block], res.l[block], res.j[block]
+        res.lhs[block] = np.fromiter(lhs, float, len(q_col))
+        for q in set(q_col.tolist()):  # the degrees in the block
+            rows = np.flatnonzero(q_col == q)
+            res.rhs[block][rows] = _region_sums(zeta, l_cols[rows, :q], j_col[rows])
     np.abs(np.subtract(res.lhs, res.rhs, out=res.gap), out=res.gap)
 
     return DiagramReport(

@@ -124,7 +124,8 @@ class DistPair:
 
     def __post_init__(self):
         _check_same_size(self.p, self.q)
-        if self.p.points != self.q.points:
+        # identity first: a pair conditioned or built from one space shares its points tuple
+        if self.p.points is not self.q.points and self.p.points != self.q.points:
             raise DomainError("the two distributions enumerate different sample points")
         bad = np.flatnonzero((self.q.masses == 0.0) & (self.p.masses > 0.0))
         if bad.size:

@@ -536,6 +536,16 @@ def test_verify_refuses_sizes_that_are_not_ints_before_any_work():
             verify_hu(inst, **kwargs)
         with pytest.raises(DomainError, match="must be an int"):
             _sweep_plan(2, **{"q_max": 3, **kwargs})
+    # so does the sample count of the chain-rule check and the action-form spot check
+    acting = dataclasses.replace(inst, f1=untouchable, action=untouchable, evaluate=untouchable)
+    for samples in (2.5, True, -3, None, "2"):
+        with pytest.raises(DomainError, match=rf"^samples must be an int >= 0, got {re.escape(repr(samples))}$"):
+            validate_action_form(acting, samples=samples)
+        if samples is not None:  # None is the exhaustive check
+            with pytest.raises(DomainError, match=rf"^samples must be an int >= 0, got {re.escape(repr(samples))}$"):
+                check_chain_rule(inst, samples=samples)
+    assert check_chain_rule(inst, samples=0) == (0.0, [])
+    assert validate_action_form(acting, samples=0) == 0.0
 
 
 def test_rescaled_conditional_fails_against_its_totals():
@@ -621,6 +631,9 @@ def test_masks_and_indices_follow_the_integer_rule():
         region_measure(inst, -1)
     for bad in ([True], [1, False], [2.0], [0]):
         with pytest.raises(DomainError, match="1-based positive ints"):
+            mask_of(bad)
+    for bad in (5, None, 1.0):  # a collection of indices, not one
+        with pytest.raises(DomainError, match=rf"^generator indices must be a collection of 1-based ints, got {bad!r}$"):
             mask_of(bad)
     for mask, indices in ((0, ()), (1, (1,)), (0b1011, (1, 2, 4)), (1 << 70, (71,))):
         assert indices_of(mask) == indices

@@ -82,6 +82,17 @@ def test_distpair_names_the_first_offending_point():
         DistPair(p=p, q=q)
 
 
+def test_distpair_compares_points_by_value():
+    # equal tuples that are distinct objects are one sample space; different ones are refused
+    first, second = tuple(["a", "b", "c"]), tuple(["a", "b", "c"])
+    assert first is not second
+    masses = np.full(3, 1 / 3)
+    pair = DistPair(p=Dist(masses=masses, points=first), q=Dist(masses=masses, points=second))
+    assert pair.p.points == pair.q.points
+    with pytest.raises(DomainError, match="^the two distributions enumerate different sample points$"):
+        DistPair(p=Dist(masses=masses, points=first), q=Dist(masses=masses, points=("a", "b", "d")))
+
+
 def test_distpair_space_mismatch():
     with pytest.raises(DomainError, match=r"^sample-space size mismatch: 1 vs 2$"):
         DistPair(p=Dist(masses=np.array([1.0])), q=Dist(masses=np.array([0.5, 0.5])))
