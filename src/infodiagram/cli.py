@@ -127,11 +127,44 @@ def paired_empirical(path_p: str, path_q: str):
     return DistPair(p=p, q=q), gens, names_p
 
 
-def _load_json(path: str):
-    """The JSON value in the UTF-8 file ``path``; an unreadable file is an IngestionError."""
+class _WrittenPairs(dict):
+    """A JSON object as a dict, the last value of a repeated key winning as
+    in ``json.load``, whose ``items()`` are its pairs as written, in file
+    order, a key written twice included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+def _loads_keeping_repeats(text: str):
+    """The JSON value of ``text`` as ``json.loads`` gives it, except that
+    each object is a :class:`_WrittenPairs` when ``text`` may repeat a key.
+
+    Outside its strings, a JSON text has one ':' per object member.  So when
+    ``text`` holds no more ':' than its decoded objects hold members, no key
+    repeats; only otherwise is it decoded again keeping the pairs, whose
+    list costs more memory than the dict (about 5 MB at 2**16 keys).
+    """
+    members = 0
+
+    def count(obj):
+        nonlocal members
+        members += len(obj)
+        return obj
+
+    doc = json.loads(text, object_hook=count)
+    return doc if text.count(":") == members else json.loads(text, object_pairs_hook=_WrittenPairs)
+
+
+def _load_json(path: str, loads=json.loads):
+    """``loads`` of the text of the UTF-8 file ``path``; an unreadable file is an IngestionError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return loads(fh.read())
     except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise IngestionError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -140,17 +173,20 @@ def _load_json(path: str):
 
 def _parse_subset_key(key: str, n: int) -> int:
     """The mask of a subset key such as ``"1 3"`` or ``"1,3"``, by the
-    library's key rule (:func:`setfun._key_mask`)."""
-    try:
-        indices = [int(part) for part in key.replace(",", " ").split()]
-    except ValueError:
-        raise DomainError(f"subset key {key!r} is not a list of indices") from None
-    return _key_mask(indices, n)
+    library's key rule (:func:`setfun._key_mask`).  Each part is ASCII
+    decimal digits after an optional sign: ``int`` alone would also read
+    ``"1_0"`` and other scripts' digits."""
+    parts = key.replace(",", " ").split()
+    digits = "".join(parts)  # a key without signs passes on one test of all its parts at once
+    if not (digits.isascii() and digits.isdigit()) and not all(
+            part.isascii() and part[part[0] in "+-":].isdigit() for part in parts):
+        raise DomainError(f"subset key {key!r} is not a list of indices")
+    return _key_mask(map(int, parts), n)
 
 
 def _read_subset_table(path: str, field_name: str, table_type):
     """A ``table_type`` from the subset table ``field_name`` of ``path``, and its generator names."""
-    doc = _load_json(path)
+    doc = _load_json(path, _loads_keeping_repeats)
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
     n = doc["n"]
@@ -162,7 +198,7 @@ def _read_subset_table(path: str, field_name: str, table_type):
         raise IngestionError(f"{path}: '{field_name}' must map subset keys to numbers")
 
     def entries():
-        for raw_key, val in table.items():
+        for raw_key, val in table.items():  # a key written twice is met twice
             key = raw_key.strip()
             yield key, _parse_subset_key(key, n), val
             # once the key has passed the range and duplicate checks: a JSON
@@ -358,9 +394,10 @@ def cmd_examples(config: argparse.Namespace):
         inst = advantage_instance(evaluator)
         value = interaction(inst, (1, 2), 0)
         expected = -1.0
+        subset = _subset_texts(2)
         detail = {
             "construction": "XOR target, exact Bayes log-loss errors",
-            "errors": {_mask_text(m): evaluator(m) for m in range(4)},
+            "errors": {subset(m): evaluator(m) for m in range(4)},
             "term": "degree-2 mutual advantage of the two features",
         }
     elif name == "venn-decomposition":
@@ -439,13 +476,39 @@ def _json_list(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+def _subset_texts(n: int, indent: str | None = None):
+    """The text of a subset of 1..n as a function of its mask: its 1-based
+    indices as :func:`_json_list` writes them at ``indent``, or, with no
+    indent, joined by spaces (a CSV subset cell, an examples error key).
+
+    The text is joined from two half tables, so the function holds
+    O(2**ceil(n/2)) texts and makes at most two joins per mask: ``low``
+    holds the opening and the indices of the low ``n // 2`` bits, ``high``
+    the indices of the other bits, each after its separator, and the close.
+    A mask without low bits drops the first separator of its ``high`` text.
+    """
+    if indent is None:
+        first, sep, last, empty = "", " ", "", ""
+    else:
+        inner = "\n" + indent + "  "
+        first, sep, last, empty = "[" + inner, "," + inner, "\n" + indent + "]", "[]"
+    split = n // 2
+    low_bits = (1 << split) - 1
+    low = [first + sep.join(map(str, indices_of(m))) for m in range(1 << split)]
+    high = ["".join(sep + str(split + i) for i in indices_of(m)) + last for m in range(1 << (n - split))]
+    cut = len(sep)
+
+    def text(mask: int) -> str:
+        if mask & low_bits:
+            return low[mask & low_bits] + high[mask >> split]
+        return first + high[mask >> split][cut:] if mask else empty
+
+    return text
+
+
 # rows of a row list formatted and written at a time; a chunk's texts live
 # at once, so larger chunks raise the peak memory of the write
 _CHUNK_ROWS = 1024
-
-
-def _mask_json(mask: int) -> str:
-    return _json_list([str(i) for i in indices_of(mask)], "      ")
 
 
 def _residual_chunks(residuals, fmt, l_text, j_text):
@@ -491,12 +554,13 @@ def _residual_json_chunks(residuals):
     """The texts of the ``residuals`` rows, a list of them per chunk, as
     ``json.dump(..., sort_keys=True, indent=2)`` gives the
     :func:`_residual_row` dicts inside a document."""
-    l_entry = functools.cache(lambda l: _json_list([str(i) for i in indices_of(l)], "        "))
+    l_entry = _subset_texts(residuals.n, "        ")
 
     def l_text(key):
         return _json_list([l_entry(l) for l in key[1:1 + key[0]]], "      ")
 
-    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float, l_text, _mask_json):
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, _json_float, l_text,
+                                                       _subset_texts(residuals.n, "      ")):
         yield [
             f'    {{\n      "J": {j},\n      "L": {l},\n'
             f'      "gap": {gap},\n      "lhs": {a},\n      "q": {q},\n      "rhs": {b}\n    }}'
@@ -504,44 +568,42 @@ def _residual_json_chunks(residuals):
         ]
 
 
-def _mask_chunks(values, row):
-    """``row(mask, value)`` of the values of the masks 1, 2, ..., a list per ``_CHUNK_ROWS``."""
+def _mask_chunks(values, row, indent=None):
+    """``row(subset, value)`` of the values of the masks 1, 2, ..., a list per
+    ``_CHUNK_ROWS``; ``subset`` is the mask's :func:`_subset_texts` text at ``indent``."""
+    subset = _subset_texts(len(values).bit_length(), indent)  # the values of n generators are 2**n - 1
     rows = enumerate(values, 1)
-    while chunk := [row(mask, value) for mask, value in itertools.islice(rows, _CHUNK_ROWS)]:
+    while chunk := [row(subset(mask), value) for mask, value in itertools.islice(rows, _CHUNK_ROWS)]:
         yield chunk
 
 
-def _atom_json(mask: int, eta: float) -> str:
-    return f'    {{\n      "eta": {_json_float(eta)},\n      "subset": {_mask_json(mask)}\n    }}'
+def _atom_json(subset: str, eta: float) -> str:
+    return f'    {{\n      "eta": {_json_float(eta)},\n      "subset": {subset}\n    }}'
 
 
-def _total_json(mask: int, f1: float) -> str:
-    return f'    {{\n      "K": {_mask_json(mask)},\n      "f1": {_json_float(f1)}\n    }}'
+def _total_json(k: str, f1: float) -> str:
+    return f'    {{\n      "K": {k},\n      "f1": {_json_float(f1)}\n    }}'
 
 
-def _mask_text(mask: int) -> str:  # a CSV subset cell, an examples error key
-    return " ".join(map(str, indices_of(mask)))
-
-
-def _atom_csv(mask: int, eta: float) -> str:
-    return f'"{_mask_text(mask)}",{eta!r}\n'
+def _atom_csv(subset: str, eta: float) -> str:
+    return f'"{subset}",{eta!r}\n'
 
 
 # the row lists of the documents: each gives a list of row texts per chunk
 _ROW_LISTS = {
-    "atoms": functools.partial(_mask_chunks, row=_atom_json),
-    "totals": functools.partial(_mask_chunks, row=_total_json),
+    "atoms": functools.partial(_mask_chunks, row=_atom_json, indent="      "),
+    "totals": functools.partial(_mask_chunks, row=_total_json, indent="      "),
     "residuals": _residual_json_chunks,
 }
 
 
 def _residual_csv_chunks(residuals):
-    mask_text = functools.cache(_mask_text)
+    subset = _subset_texts(residuals.n)
 
     def l_text(key):
-        return "|".join(map(mask_text, key[1:1 + key[0]]))
+        return "|".join(map(subset, key[1:1 + key[0]]))
 
-    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__, l_text, mask_text):
+    for qs, ls, js, lhs, rhs, gaps in _residual_chunks(residuals, float.__repr__, l_text, subset):
         yield [f'{q},"{l}","{j}",{a},{b},{gap}\n' for q, l, j, a, b, gap in zip(qs, ls, js, lhs, rhs, gaps)]
 
 
@@ -563,13 +625,15 @@ def _write_document(doc: dict, config: argparse.Namespace) -> None:
     q, rhs``), each float as json writes it (``float.__repr__``, or
     ``NaN``, ``Infinity`` and ``-Infinity``), and no dict is built per
     row: ``atoms`` and ``totals`` are values by mask (:func:`cmd_diagram`),
-    each index list formatted from its mask, and ``residuals`` are the
-    sweep's columns, each distinct ``lhs``, ``rhs`` or ``gap`` bit pattern
-    formatted once per write (:func:`_residual_chunks`).  Any other value
-    goes through ``json.dumps``.  A CSV document is one line per atom
-    (``diagram``) or per residual (``verify``), floats by ``float.__repr__``.
-    JSON rows and CSV lines are formatted ``_CHUNK_ROWS`` at a time, and
-    each chunk goes to the handle as one ``write``.
+    and ``residuals`` are the sweep's columns, each distinct ``lhs``,
+    ``rhs`` or ``gap`` bit pattern formatted once per write
+    (:func:`_residual_chunks`).  Each index list and CSV subset cell is
+    joined from two half tables built once per write
+    (:func:`_subset_texts`).  Any other value goes through ``json.dumps``.
+    A CSV document is one line per atom (``diagram``) or per residual
+    (``verify``), floats by ``float.__repr__``.  JSON rows and CSV lines
+    are formatted ``_CHUNK_ROWS`` at a time, and each chunk goes to the
+    handle as one ``write``.
     """
     with _output(config.out) as fh:
         if config.fmt == "csv":

@@ -155,11 +155,22 @@ def mask_of(indices) -> int:
     """Bitmask of a collection of 1-based generator indices."""
     if not hasattr(indices, "__iter__"):  # 5 or None: refused by name, not by a bare TypeError
         raise DomainError(f"generator indices must be a collection of 1-based ints, got {indices!r}")
+    return _mask_within(indices, math.inf)
+
+
+def _mask_within(indices, n) -> int:
+    """The bitmask of 1-based generator indices, each read once, or -1, a
+    mask no range check accepts, when one lies past ``n``: the mask of such
+    an index, 2**index, is never built.  An index that is not a positive
+    int is a DomainError wherever it stands."""
     mask = 0
     for i in indices:
-        if not _is_int(i) or i < 1:
+        if type(i) is not int and not _is_int(i) or i < 1:  # a plain int skips the call on this hot path
             raise DomainError(f"generator indices are 1-based positive ints, got {i!r}")
-        mask |= 1 << (i - 1)
+        if i > n:
+            mask = -1
+        elif mask >= 0:
+            mask |= 1 << (i - 1)
     return mask
 
 
@@ -567,15 +578,16 @@ class _ResidualColumns(Sequence):
     """A sweep's residuals as six columns, read as a sequence of :class:`Residual`.
 
     ``q``, the L masks ``l`` (one row of ``q_max`` entries per check,
-    padded with 0 past its ``q``) and ``j`` are small unsigned integers;
-    ``lhs``, ``rhs`` and ``gap`` are float64.  The view assigns no rows:
-    each read, by index or by iteration, builds a fresh ``Residual`` of
-    Python ints and floats from the columns and keeps none, so a value
-    written to a column reaches every later read.  The view equals a list,
-    or another view, with equal rows.
+    padded with 0 past its ``q``) and ``j`` are small unsigned integers,
+    masks of ``n`` generators; ``lhs``, ``rhs`` and ``gap`` are float64.
+    The view assigns no rows: each read, by index or by iteration, builds
+    a fresh ``Residual`` of Python ints and floats from the columns and
+    keeps none, so a value written to a column reaches every later read.
+    The view equals a list, or another view, with equal rows.
     """
 
     def __init__(self, checks: int, q_max: int, n: int):
+        self.n = n
         mask = np.min_scalar_type((1 << n) - 1)
         self.q = np.zeros(checks, dtype=np.min_scalar_type(q_max))
         self.l = np.zeros((checks, q_max), dtype=mask)

@@ -243,6 +243,9 @@ def test_diagram_ingestion_errors(tmp_path, capsys):
     # a key is read by the library's key rule, so index 0 gets its 1-based message
     for key, message in (("4", "subset key '4' is out of range 1..3"),
                          ("1;2", "subset key '1;2' is not a list of indices"),
+                         # int() reads both, as 10 and 1: a part is ASCII digits after an optional sign
+                         ("1_0", "subset key '1_0' is not a list of indices"),
+                         ("\u0661", "subset key '\u0661' is not a list of indices"),
                          ("0", "generator indices are 1-based positive ints, got 0")):
         sf_path = write(tmp_path, "sf.json", json.dumps({"n": 3, "values": {"": 0.0, key: 1.0}}))
         code, _, err = run(capsys, "diagram", sf_path, "--instance", "setfun")
@@ -413,6 +416,14 @@ _SF = "sf.json"
                  "ingestion error: sf.json: expected an object with 'n' and 'values'", id="subset-table-not-object"),
     pytest.param({_SF: '{"n": 2, "values": [0, 1, 1, 2]}'}, ["diagram", _SF, "--instance", "setfun"], 2,
                  "ingestion error: sf.json: 'values' must map subset keys to numbers", id="values-a-list"),
+    # a key written twice is refused as a key that names one subset twice
+    pytest.param({_SF: '{"n": 1, "values": {"": 0.0, "1": 0.5, "1": 0.9}}'}, ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: duplicate subset key '1'", id="key-repeated-verbatim"),
+    pytest.param({_SF: '{"n": 1, "values": {"": 0.0, "1": 0.5, " 1": 0.9}}'}, ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: duplicate subset key '1'", id="key-repeated-with-a-space"),
+    pytest.param({_SF: '{"n": 1, "errors": {"": 1, "1": 0.5, "1": 0.5}, "names": ["a:b"]}'},
+                 ["diagram", _SF, "--instance", "advantage"], 2,
+                 "ingestion error: sf.json: duplicate subset key '1'", id="error-key-repeated-verbatim"),
     pytest.param({_SF: '{"n": 2, "values": {"": 0, "1": 1, "2": 1, "1 2": 2}, "names": ["a"]}'},
                  ["diagram", _SF, "--instance", "setfun"], 2,
                  "ingestion error: sf.json: 'names' must list 2 generator names", id="one-name-at-n-2"),
@@ -727,6 +738,60 @@ def test_verify_document_matches_json_dump_of_the_rows(tmp_path, capsys, monkeyp
     code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
     assert code == 0
     assert out == _old_csv(docs[-1])
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_documents_at_widths_across_the_half_split(tmp_path, capsys, monkeypatch, n):
+    # a subset's text joins a table text of its low n // 2 bits to one of
+    # the others: n = 1 has no low bits, n = 5 splits 2 + 3, n = 12 6 + 6
+    docs = _capture_documents(monkeypatch, "cmd_diagram")
+    argv = ["diagram", *_verify_inputs(tmp_path, "setfun", n)]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, json.dumps(_old_diagram(docs[0]), sort_keys=True, indent=2) + "\n")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    atoms = enumerate(docs[1]["atoms"], 1)
+    assert (code, out) == (0, "subset,eta\n" + "".join(f'"{_index_text(a)}",{eta!r}\n' for a, eta in atoms))
+    if n > 5:  # verify samples beyond n = 5; test_verify_document_matches_json_dump_of_the_rows covers n = 6
+        return
+    docs = _capture_documents(monkeypatch, "cmd_verify")
+    argv = [*_verify_inputs(tmp_path, "setfun", n), "--qmax", "2"]
+    code, out = _verify_both_ways(tmp_path, capsys, argv)
+    rows = docs[0]["residuals"]
+    assert any(r.j_mask == 0 for r in rows) and any(0 in r.l_masks for r in rows)
+    assert (code, out) == (0, _old_json(docs[0]))
+    code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
+    assert (code, out) == (0, _old_csv(docs[-1]))
+
+
+def _index_text(mask: int) -> str:
+    return " ".join(map(str, indices_of(mask)))
+
+
+def test_subset_texts_join_two_half_tables_for_every_mask():
+    for n in range(1, 11):
+        for indent in ("      ", "        "):
+            text = cli._subset_texts(n, indent)
+            # json.dump writes a nested list as a top-level one, each line after the first indented
+            assert [text(m) for m in range(1 << n)] == [
+                json.dumps(list(indices_of(m)), indent=2).replace("\n", "\n" + indent) for m in range(1 << n)]
+        text = cli._subset_texts(n)
+        assert [text(m) for m in range(1 << n)] == [_index_text(m) for m in range(1 << n)]
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "values": {"": 0, "1": 0.5}}',
+    '{"n": 1, "values": {"": 0, "1": 0.5}, "names": ["a:b"]}',  # one ':' more than the members
+    '{"n": 2, "n": 1, "values": {"": 0, "1": 0.5}}',
+    '{"n": 1, "values": {"": 0, "1": {"a": 1, "a": 2}}}',
+])
+def test_subset_table_text_decodes_as_json_does(text):
+    assert cli._loads_keeping_repeats(text) == json.loads(text)
+
+
+def test_subset_table_keeps_a_key_written_twice():
+    doc = cli._loads_keeping_repeats('{"n": 1, "values": {"": 0, "1": 0.5, "1": 0.9}}')
+    assert doc["values"] == {"": 0, "1": 0.9}
+    assert list(doc["values"].items()) == [("", 0), ("1", 0.5), ("1", 0.9)]
 
 
 def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, capsys, monkeypatch):

@@ -122,6 +122,12 @@ def test_from_mapping_rejects_bad_and_repeated_keys():
     for key in ((True,), (1.0,)):
         with pytest.raises(DomainError, match=rf"1-based positive ints, got {re.escape(repr(key[0]))}$"):
             SetFunction.from_mapping(1, {0: 0.0, key: 1.0})
+    # a key is read in one pass: a bad index is refused before or after an index past n,
+    # and a one-shot iterator is a key
+    for key, bad in (((3, 0), "0"), ((0, 3), "0"), ((3, 1.5), "1.5")):
+        with pytest.raises(DomainError, match=rf"1-based positive ints, got {re.escape(bad)}$"):
+            SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, key: 2.0})
+    assert SetFunction.from_mapping(2, {(): 0.0, (1,): 1.0, (2,): 1.0, iter((2, 1)): 2.0}).values[3] == 2.0
 
 
 # ---------------------------------------------------------------------------
