@@ -127,27 +127,16 @@ def paired_empirical(path_p: str, path_q: str):
     return DistPair(p=p, q=q), gens, names_p
 
 
-class _WrittenPairs(dict):
-    """A JSON object as a dict, the last value of a repeated key winning as
-    in ``json.load``, whose ``items()`` are its pairs as written, in file
-    order, a key written twice included."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.pairs = pairs
-
-    def items(self):
-        return self.pairs
-
-
-def _loads_keeping_repeats(text: str):
-    """The JSON value of ``text`` as ``json.loads`` gives it, except that
-    each object is a :class:`_WrittenPairs` when ``text`` may repeat a key.
+def _load_json(path: str):
+    """The JSON value of the UTF-8 file ``path``.  An unreadable file,
+    invalid JSON and a key written twice in any object, at any depth, are
+    each an IngestionError.
 
     Outside its strings, a JSON text has one ':' per object member.  So when
-    ``text`` holds no more ':' than its decoded objects hold members, no key
-    repeats; only otherwise is it decoded again keeping the pairs, whose
-    list costs more memory than the dict (about 5 MB at 2**16 keys).
+    the text holds no more ':' than its decoded objects hold members, no key
+    repeats; only otherwise is it decoded again, refusing the first key
+    written twice.  That decode holds each object's list of pairs, which
+    costs more memory than the dict (about 5 MB at 2**16 keys).
     """
     members = 0
 
@@ -156,16 +145,20 @@ def _loads_keeping_repeats(text: str):
         members += len(obj)
         return obj
 
-    doc = json.loads(text, object_hook=count)
-    return doc if text.count(":") == members else json.loads(text, object_pairs_hook=_WrittenPairs)
+    def refuse_repeats(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise IngestionError(f"{path}: duplicate key {key!r}")
+        return obj
 
-
-def _load_json(path: str, loads=json.loads):
-    """``loads`` of the text of the UTF-8 file ``path``; an unreadable file is an IngestionError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return loads(fh.read())
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+            text = fh.read()
+        doc = json.loads(text, object_hook=count)
+        return json.loads(text, object_pairs_hook=refuse_repeats) if text.count(":") > members else doc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: values nested too deep
         raise IngestionError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from exc
@@ -186,7 +179,7 @@ def _parse_subset_key(key: str, n: int) -> int:
 
 def _read_subset_table(path: str, field_name: str, table_type):
     """A ``table_type`` from the subset table ``field_name`` of ``path``, and its generator names."""
-    doc = _load_json(path, _loads_keeping_repeats)
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "n" not in doc or field_name not in doc:
         raise IngestionError(f"{path}: expected an object with 'n' and '{field_name}'")
     n = doc["n"]
@@ -198,7 +191,7 @@ def _read_subset_table(path: str, field_name: str, table_type):
         raise IngestionError(f"{path}: '{field_name}' must map subset keys to numbers")
 
     def entries():
-        for raw_key, val in table.items():  # a key written twice is met twice
+        for raw_key, val in table.items():
             key = raw_key.strip()
             yield key, _parse_subset_key(key, n), val
             # once the key has passed the range and duplicate checks: a JSON
@@ -211,9 +204,9 @@ def _read_subset_table(path: str, field_name: str, table_type):
     except DomainError as exc:
         raise IngestionError(f"{path}: {exc}") from None
     names = doc.get("names", [str(i) for i in range(1, n + 1)])
-    if not isinstance(names, list) or len(names) != n:
+    if not isinstance(names, list) or len(names) != n or not all(isinstance(name, str) for name in names):
         raise IngestionError(f"{path}: 'names' must list {n} generator names")
-    return table_type(n, values), [str(name) for name in names]
+    return table_type(n, values), names
 
 
 def read_setfunction(path: str):

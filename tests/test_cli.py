@@ -416,17 +416,20 @@ _SF = "sf.json"
                  "ingestion error: sf.json: expected an object with 'n' and 'values'", id="subset-table-not-object"),
     pytest.param({_SF: '{"n": 2, "values": [0, 1, 1, 2]}'}, ["diagram", _SF, "--instance", "setfun"], 2,
                  "ingestion error: sf.json: 'values' must map subset keys to numbers", id="values-a-list"),
-    # a key written twice is refused as a key that names one subset twice
+    # a key written twice is refused by the JSON reader; two spellings of one subset by the key rule
     pytest.param({_SF: '{"n": 1, "values": {"": 0.0, "1": 0.5, "1": 0.9}}'}, ["diagram", _SF, "--instance", "setfun"], 2,
-                 "ingestion error: sf.json: duplicate subset key '1'", id="key-repeated-verbatim"),
+                 "ingestion error: sf.json: duplicate key '1'", id="key-repeated-verbatim"),
     pytest.param({_SF: '{"n": 1, "values": {"": 0.0, "1": 0.5, " 1": 0.9}}'}, ["diagram", _SF, "--instance", "setfun"], 2,
                  "ingestion error: sf.json: duplicate subset key '1'", id="key-repeated-with-a-space"),
     pytest.param({_SF: '{"n": 1, "errors": {"": 1, "1": 0.5, "1": 0.5}, "names": ["a:b"]}'},
                  ["diagram", _SF, "--instance", "advantage"], 2,
-                 "ingestion error: sf.json: duplicate subset key '1'", id="error-key-repeated-verbatim"),
+                 "ingestion error: sf.json: duplicate key '1'", id="error-key-repeated-verbatim"),
     pytest.param({_SF: '{"n": 2, "values": {"": 0, "1": 1, "2": 1, "1 2": 2}, "names": ["a"]}'},
                  ["diagram", _SF, "--instance", "setfun"], 2,
                  "ingestion error: sf.json: 'names' must list 2 generator names", id="one-name-at-n-2"),
+    pytest.param({_SF: '{"n": 2, "values": {"": 0, "1": 1, "2": 1, "1 2": 2}, "names": [1, {"a": 2}]}'},
+                 ["diagram", _SF, "--instance", "setfun"], 2,
+                 "ingestion error: sf.json: 'names' must list 2 generator names", id="names-not-strings"),
     pytest.param({**_PQ, "d": None}, ["diagram", "d", "p.csv", "--instance", "compressor"], 2,
                  "ingestion error: d: ", id="directory-blob"),
     pytest.param(_PQ, ["diagram", "p.csv", "--instance", "shannon", "--alpha", "0.5"], 2,
@@ -781,17 +784,25 @@ def test_subset_texts_join_two_half_tables_for_every_mask():
 @pytest.mark.parametrize("text", [
     '{"n": 1, "values": {"": 0, "1": 0.5}}',
     '{"n": 1, "values": {"": 0, "1": 0.5}, "names": ["a:b"]}',  # one ':' more than the members
-    '{"n": 2, "n": 1, "values": {"": 0, "1": 0.5}}',
-    '{"n": 1, "values": {"": 0, "1": {"a": 1, "a": 2}}}',
 ])
-def test_subset_table_text_decodes_as_json_does(text):
-    assert cli._loads_keeping_repeats(text) == json.loads(text)
+def test_subset_table_text_decodes_as_json_does(tmp_path, text):
+    assert cli._load_json(write(tmp_path, "sf.json", text)) == json.loads(text)
 
 
-def test_subset_table_keeps_a_key_written_twice():
-    doc = cli._loads_keeping_repeats('{"n": 1, "values": {"": 0, "1": 0.5, "1": 0.9}}')
-    assert doc["values"] == {"": 0, "1": 0.9}
-    assert list(doc["values"].items()) == [("", 0), ("1", 0.5), ("1", 0.9)]
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"n": 2, "n": 1, "values": {"": 0, "1": 0.5}}', "n", id="top-level"),
+    pytest.param('{"n": 1, "values": {"": 0, "1": 0.5, "1": 0.9}}', "1", id="in-the-table"),
+    pytest.param('{"n": 1, "values": {"": 0, "1": {"a": 1, "a": 2}}}', "a", id="in-a-nested-value"),
+    pytest.param('{"metadata": {"n": 2, "n": 3}, "atoms": []}', "n", id="in-a-render-document"),
+])
+def test_a_key_written_twice_is_refused_in_any_json_input(tmp_path, capsys, text, key):
+    path = write(tmp_path, "in.json", text)
+    with pytest.raises(shannon.IngestionError) as refusal:
+        cli._load_json(path)
+    assert str(refusal.value) == f"{path}: duplicate key '{key}'"
+    argv = ["render", path, str(tmp_path / "out.svg")] if "metadata" in text else \
+        ["diagram", path, "--instance", "setfun"]
+    assert run(capsys, *argv) == (2, "", f"ingestion error: {path}: duplicate key '{key}'\n")
 
 
 def test_verify_writes_non_finite_and_signed_zero_values_as_json_does(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import random_joint, random_pair
 from infodiagram import (
+    ChainRuleInstance,
     DiagramReport,
     HypothesisEvaluator,
     Residual,
@@ -108,6 +109,19 @@ def test_columnar_sweep_matches_the_per_check_loop_and_the_oracles(family, mode,
         assert r.rhs == pytest.approx(regions[region], rel=1e-9, abs=1e-9)
     if mode == "sampled":
         assert {r.q for r in rows} == set(range(1, q_max + 1))
+
+
+@pytest.mark.parametrize("mode, n, q_max", [("exhaustive", 3, 3), ("exhaustive", 4, 3), ("sampled", 6, 4)])
+def test_unit_totals_give_every_check_a_gap_of_exactly_zero(mode, n, q_max):
+    # on a totals-difference instance, each check's lhs (the recursion) and
+    # rhs (atom transform, zeta, region sum) are fixed integer forms in the
+    # totals; on a unit vector e_k every value is a small integer, exact in
+    # floating point, so a zero gap on every e_k proves the two forms equal
+    for k in range(1, 1 << n):
+        totals = [0.0] * (1 << n)
+        totals[k] = 1.0
+        report = verify_hu(ChainRuleInstance(n, totals), q_max=q_max, mode=mode, seed=k)
+        assert report.residuals.gap.tolist() == [0.0] * len(report.residuals)
 
 
 def _write(doc, tmp_path, fmt):
