@@ -16,7 +16,8 @@ holds few distinct values, so the writer formats each distinct float of a
 residual table once, JSON and CSV alike.
 
 Exit codes: 0 ok, 2 ingestion/usage error (an unreadable or malformed
-input, a file that is not UTF-8 included), 3 instance-precondition failure
+input, a file that is not UTF-8 included) or output error (a failed write
+of the document), 3 instance-precondition failure
 (absolute continuity, alpha poles, caps), 4 verification failure beyond
 tolerance.  Diagnostics go to stderr; with ``--out -`` only the requested
 document goes to stdout.
@@ -44,6 +45,8 @@ from .core import (
     VerificationError,
     _check_n,
     _is_int,
+    _passes,
+    _scale,
     _sweep_plan,
     indices_of,
     interaction,
@@ -311,7 +314,7 @@ def cmd_diagram(config: argparse.Namespace):
         worst = _residual_row(report.worst())
         raise VerificationError(
             f"diagram identity check failed: max residual {report.max_residual:.3e} "
-            f"> tolerance {config.tol:.1e} at q={worst['q']}, L={worst['L']}, J={worst['J']}"
+            f"> tolerance {report.tolerance * report.scale:.1e} at q={worst['q']}, L={worst['L']}, J={worst['J']}"
         )
     full = (1 << inst.n) - 1
     zeta = report.zeta
@@ -319,7 +322,7 @@ def cmd_diagram(config: argparse.Namespace):
         f1 = inst.total(k)
         # atoms under the circles of K: all atoms minus those inside full ^ K
         cell_sum = zeta[full] - zeta[full ^ k]
-        if not abs(f1 - cell_sum) <= config.tol:  # a NaN gap fails too
+        if not _passes(abs(f1 - cell_sum), report.tolerance, report.scale):
             raise VerificationError(
                 f"total consistency check failed for K={list(indices_of(k))}: "
                 f"F1={f1!r} vs atom sum {cell_sum!r}"
@@ -350,7 +353,8 @@ def cmd_verify(config: argparse.Namespace):
     }
     if report.passed:
         return doc, None
-    return doc, f"verification failed: max residual {report.max_residual:.3e} > tolerance {config.tol:.1e}"
+    bound = report.tolerance * report.scale
+    return doc, f"verification failed: max residual {report.max_residual:.3e} > tolerance {bound:.1e}"
 
 
 def _bsc_pair(epsilon: float):
@@ -419,7 +423,7 @@ def cmd_examples(config: argparse.Namespace):
         "expected": expected,
         "gap": gap,
         "tolerance": tol,
-        "passed": gap <= tol,
+        "passed": _passes(gap, tol, _scale(expected)),
         "detail": detail,
     }
     if doc["passed"]:
@@ -655,7 +659,8 @@ def _add_instance_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--instance", required=True, choices=KINDS, dest="kind")
     sub.add_argument("--base", choices=("nats", "bits"), default="nats")
     sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="an identity gap passes when at most TOL * max(1, max |F1|) over the instance's totals F1")
     sub.add_argument("--qmax", type=int, default=3, dest="q_max")
     sub.add_argument("--out", default="-")
     sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
@@ -678,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     examples = sub.add_parser("examples", help="run a built-in example with a known value")
     examples.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
     examples.add_argument("--epsilon", type=float, default=0.25, help="channel flip probability (bsc-d2)")
-    examples.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    examples.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                          help="the gap passes when at most TOL * max(1, |expected|)")
     examples.add_argument("--seed", type=int, default=0)
     examples.add_argument("--out", default="-")
     examples.set_defaults(fmt="json")
@@ -756,8 +762,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         print(failure, file=sys.stderr)
         return EXIT_VERIFY
-    except (IngestionError, OSError) as exc:
+    except IngestionError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
+        return EXIT_INGEST
+    except OSError as exc:  # the readers name their own; this one is from writing the output
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INGEST
     except DomainError as exc:
         print(f"instance error: {exc}", file=sys.stderr)

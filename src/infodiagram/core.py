@@ -105,6 +105,22 @@ def _check_samples(samples) -> None:
         raise DomainError(f"samples must be an int >= 0, got {samples!r}")
 
 
+def _scale(values) -> float:
+    """``max(1, max |v|)`` over the finite ``values``: the magnitude that
+    roundoff in sums and differences of them grows with (Higham 2002, §4.2).
+    A non-finite value widens no bound."""
+    magnitudes = np.abs(values)
+    return float(np.max(magnitudes, initial=1.0, where=np.isfinite(magnitudes)))
+
+
+def _passes(gap: float, tol: float, scale: float) -> bool:
+    """The one tolerance rule for the gap of an identity that Hu's theorem
+    makes exact, so that any gap is roundoff: it passes when it is at most
+    ``tol * scale``, ``scale`` being :func:`_scale` of the values the
+    identity is made of, an instance's totals vector.  A NaN gap fails."""
+    return gap <= tol * scale
+
+
 def _check_n(n: int) -> None:
     cap = max_generators()
     if not _is_int(n) or n < 1 or n > cap:
@@ -463,8 +479,9 @@ def mobius_oracle(inst: ChainRuleInstance, tol: float = DEFAULT_TOL) -> dict[int
 
     One equation per nonempty ``K``: the atom values under the circle union
     of ``K`` must sum to ``F1(X_K)``.  The (2**n - 1)-square system is
-    uniquely solvable; a residual beyond ``tol`` is reported as an internal
-    error because it cannot occur for real-valued input.
+    uniquely solvable; a residual beyond ``tol * max(1, max |F1|)``
+    (:func:`_passes`) is reported as an internal error because it cannot
+    occur for real-valued input.
     """
     n = inst.n
     if n > ORACLE_MAX_N:
@@ -482,10 +499,10 @@ def mobius_oracle(inst: ChainRuleInstance, tol: float = DEFAULT_TOL) -> dict[int
     except np.linalg.LinAlgError as exc:  # unreachable for this incidence matrix
         raise VerificationError(f"internal error: atom system reported singular: {exc}") from exc
     residual = float(np.max(np.abs(a @ x - b)))
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if not residual <= tol * scale:
+    scale = _scale(inst.totals)
+    if not _passes(residual, tol, scale):
         raise VerificationError(
-            f"internal error: atom system residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"internal error: atom system residual {residual:.3e} exceeds tolerance {tol * scale:.1e}"
         )
     return {i: float(x[i - 1]) for i in range(1, m + 1)}
 
@@ -498,7 +515,8 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     ``F1`` is the totals vector, exhaustively over all element pairs, or
     over ``samples`` random pairs when given.  Returns ``(max_gap,
     violations)`` where violations is the list of ``(y, z, gap)`` beyond
-    ``tol``; a NaN gap is a violation, and the first one is ``max_gap``.
+    ``tol * max(1, max |F1|)`` (:func:`_passes`); a NaN gap is a violation,
+    and the first one is ``max_gap``.
     """
     n = inst.n
     size = 1 << n
@@ -508,6 +526,7 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
         _check_samples(samples)
         rng = random.Random(seed)
         pairs = ((rng.randrange(size), rng.randrange(size)) for _ in range(samples))
+    scale = _scale(inst.totals)
     gaps = [0.0]
     violations = []
     seen_neutral = set()
@@ -515,10 +534,10 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
         if z not in seen_neutral:
             seen_neutral.add(z)
             gaps.append(abs(inst.k1c(0, z)))
-            if not gaps[-1] <= tol:
+            if not _passes(gaps[-1], tol, scale):
                 violations.append((0, z, gaps[-1]))
         gaps.append(abs(inst.total(y | z) - inst.total(y) - inst.k1c(z, y)))
-        if not gaps[-1] <= tol:
+        if not _passes(gaps[-1], tol, scale):
             violations.append((y, z, gaps[-1]))
     return gaps[_worst_index(gaps)], violations
 
@@ -532,7 +551,8 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     that the action is additive, and that ``k1(y, z)`` agrees with
     evaluating the acted-on lift.  These axioms cannot be dropped: the
     diagram identities fail for a non-action "conditioning".  Returns the
-    max gap; raises :class:`VerificationError` beyond ``tol``.
+    max gap; raises :class:`VerificationError` beyond ``tol * max(1, max
+    |F1|)`` over the totals ``F1`` (:func:`_passes`).
     """
     if not inst.has_action_form():
         raise DomainError("instance carries no action form (f1/action/evaluate)")
@@ -558,8 +578,9 @@ def validate_action_form(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
              "two-argument form vs action"),
         )
     worst = checked[_worst_index([gap for gap, _ in checked])]
-    if not worst[0] <= tol:
-        raise VerificationError(f"action axiom '{worst[1]}' violated by {worst[0]:.3e} (tol {tol:.1e})")
+    scale = _scale(inst.totals)
+    if not _passes(worst[0], tol, scale):
+        raise VerificationError(f"action axiom '{worst[1]}' violated by {worst[0]:.3e} (tol {tol * scale:.1e})")
     return worst[0]
 
 
@@ -636,7 +657,11 @@ class DiagramReport:
     and not kept.  :meth:`worst` reads its ``gap`` column, so a gap
     written there reaches it; ``max_residual`` is the worst gap as the
     report was made.  ``zeta`` is the subset zeta transform of
-    ``atom_values``: ``zeta[S]`` sums the atoms inside ``S``.
+    ``atom_values``: ``zeta[S]`` sums the atoms inside ``S``.  The report
+    passes when ``max_residual`` is at most ``tolerance * scale``
+    (:func:`_passes`); :func:`verify_hu` sets ``scale`` to ``max(1, max
+    |F1|)`` over the instance's totals, and a report built by hand is held
+    to ``tolerance`` alone.
     """
 
     atom_values: dict[int, float]
@@ -646,10 +671,11 @@ class DiagramReport:
     mode: str
     chain_residual: float | None = None
     zeta: list[float] = field(default_factory=list, repr=False)
+    scale: float = 1.0
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return _passes(self.max_residual, self.tolerance, self.scale)
 
     def worst(self) -> Residual:
         """The first residual with a NaN gap, else the first with the largest gap."""
@@ -705,10 +731,13 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     row blocks takes each block's lhs from the next checks and its rhs from
     one region-sum gather per degree, so nothing else grows with the table.
 
-    If the instance's conditional disagrees with its totals beyond
-    ``tol``, a :class:`VerificationError` naming the violating (Y, Z)
-    pairs is raised first (disable with ``check_chain=False`` to see the
-    identity residuals of a broken instance).
+    Every gap, of the sweep and of the chain check, is held to ``tol *
+    max(1, max |F1|)`` over the instance's totals ``F1`` (:func:`_passes`):
+    the identities are exact, and roundoff grows with the totals.  If the
+    instance's conditional disagrees with its totals beyond that bound, a
+    :class:`VerificationError` naming the violating (Y, Z) pairs is raised
+    first (disable with ``check_chain=False`` to see the identity residuals
+    of a broken instance).
     """
     n = inst.n
     mode, checks = _sweep_plan(n, q_max, mode, samples)
@@ -771,6 +800,7 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
         mode=mode,
         chain_residual=chain_gap,
         zeta=zeta.tolist(),
+        scale=_scale(inst.totals),
     )
 
 

@@ -46,6 +46,15 @@ def random_pair(rng, dist):
     return DistPair(p=dist, q=q)
 
 
+def scaled_sqrt_modular(n, k):
+    """``10**k * sqrt(sum of w_i over S)`` for every mask ``S``, ascending, as
+    a list: the concave-of-modular set function of the benchmark's
+    ``setfun-wide`` workload at seed 5, whose chain rule is exact."""
+    weights = np.random.default_rng([5, n, 1]).uniform(0.5, 2.0, size=n)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return (np.sqrt(bits @ weights) * 10.0 ** k).tolist()
+
+
 def set_partitions(items):
     """All partitions of a sequence, each as a list of lists."""
     items = list(items)

@@ -11,10 +11,12 @@ import math
 import os
 import random
 import struct
+import sys
 import tracemalloc
 
 import pytest
 
+from conftest import scaled_sqrt_modular
 import infodiagram.cli as cli
 import infodiagram.shannon as shannon
 from infodiagram.cli import main
@@ -564,6 +566,18 @@ def test_nonpositive_qmax_is_a_usage_error(tmp_path, capsys, command, q_max):
     assert f"--qmax must be a positive integer, got {q_max}" in err
 
 
+@pytest.mark.parametrize("k", [0, 3, 6, 9, 12])
+def test_a_scaled_set_function_passes_at_the_default_tolerance(tmp_path, capsys, k):
+    # its chain rule is exact, so each gap is roundoff, which grows with the values
+    n = 8
+    keys = (",".join(map(str, indices_of(mask))) for mask in range(1 << n))
+    sf_path = write(tmp_path, "sf.json", json.dumps({"n": n, "values": dict(zip(keys, scaled_sqrt_modular(n, k)))}))
+    for command, summary in (("diagram", "verification"), ("verify", "summary")):
+        code, out, err = run(capsys, command, sf_path, "--instance", "setfun")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[summary]["passed"] is True
+
+
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
     # non-dyadic weights leave float roundoff in some identity, so tolerance 0
     # must fail; the XOR sweep is exact and would pass
@@ -650,6 +664,25 @@ def test_verify_compressor_blobs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["metadata"]["compressor"] == "zlib level 9"
     assert doc["metadata"]["generators"] == ["a.bin", "b.bin"]
+
+
+@pytest.mark.parametrize("case", ["empty", "identical", "directory", "missing"])
+def test_compressor_blobs_take_any_bytes_and_name_a_path_they_cannot_read(tmp_path, capsys, case):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    a.write_bytes(b"squeamish ossifrage " * 30)
+    if case == "empty":
+        b.write_bytes(b"")
+    elif case == "identical":
+        b.write_bytes(a.read_bytes())
+    elif case == "directory":
+        b.mkdir()
+    code, out, err = run(capsys, "diagram", str(a), str(b), "--instance", "compressor")
+    if case in ("empty", "identical"):
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metadata"]["generators"] == ["a.bin", "b.bin"]
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ingestion error: {b}: [Errno ") and err.count("\n") == 1
 
 
 _BASE_FREE = {"tsallis", "alpha-kl", "setfun", "advantage", "compressor"}
@@ -992,6 +1025,27 @@ def test_xor_diagram_has_no_negative_zero(tmp_path, capsys):
     doc = json.loads(out)
     zeros = [a["eta"] for a in doc["atoms"] if a["eta"] == 0.0]
     assert zeros and all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "closed-pipe"])
+def test_a_failed_write_is_an_output_error(tmp_path, capsys, monkeypatch, case):
+    # the readers name their files in an ingestion error; an OSError that
+    # reaches main comes from writing the document
+    argv = ["diagram", write(tmp_path, "xor.csv", XOR_CSV), "--instance", "shannon"]
+    if case == "missing-directory":
+        out = tmp_path / "absent" / "doc.json"
+        argv += ["--out", str(out)]
+        expected = f"output error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    else:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        expected = "output error: [Errno 32] Broken pipe\n"
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, expected)
 
 
 def test_stdout_carries_only_the_document(tmp_path, capsys):

@@ -803,6 +803,11 @@ def test_a_nan_gap_fails_every_gate():
     with pytest.raises(VerificationError, match="residual nan"):
         mobius_oracle(ChainRuleInstance(n=2, totals=(0.0, 1.0, math.nan, 2.0)))
 
+    # the bound scales with the finite totals only: an infinite total widens
+    # no bound, so its infinite gap against a finite conditional fails
+    infinite = ChainRuleInstance(n=1, totals=(0.0, math.inf), k1=lambda y, z: 0.0)
+    assert (0, 1, math.inf) in check_chain_rule(infinite)[1]
+
     # finite gaps keep the largest gap and, among tied rows, the first
     clean = verify_hu(ChainRuleInstance(n=3, totals=inst.totals), q_max=3)
     gaps = [r.gap for r in clean.residuals]

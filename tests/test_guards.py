@@ -17,8 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_pair
+from conftest import random_pair, scaled_sqrt_modular
 from infodiagram import (
+    SetFunction,
+    VerificationError,
     alpha_kl,
     alpha_kl_instance,
     check_chain_rule,
@@ -29,6 +31,7 @@ from infodiagram import (
     kl,
     kl_instance,
     marginal,
+    r1_instance,
     tsallis_entropy,
     tsallis_instance,
     verify_hu,
@@ -98,6 +101,22 @@ def test_the_exhaustive_chain_check_lists_the_planted_pair_alone(build, n):
     # the check reads k1c(z, y) for its own (y, z), so it names the pair swapped
     assert [(y, z) for y, z, _ in violations] == [PLANTED[::-1]]
     assert violations[0][2] == pytest.approx(DELTA, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6, 9, 12])
+def test_a_fault_of_one_millionth_of_the_totals_is_found_at_every_scale(k):
+    # the tolerance scales with max |F1|, so a fault that scales with it too
+    # stays a thousand times past the bound while the roundoff stays under it
+    values = scaled_sqrt_modular(4, k)
+    inst = r1_instance(SetFunction(n=4, values=tuple(values)))
+    fault = 1e-6 * max(1.0, max(map(abs, values)))
+    planted = replace(inst, k1=lambda y, z: inst.k1(y, z) + (fault if (y, z) == PLANTED else 0.0))
+    assert check_chain_rule(inst)[1] == []
+    assert [(y, z) for y, z, _ in check_chain_rule(planted)[1]] == [PLANTED[::-1]]
+    with pytest.raises(VerificationError, match=r"chain rule at 1 element pair\(s\): \(Y=\(3,\), Z=\(1, 2\)"):
+        verify_hu(planted, q_max=3)
+    assert verify_hu(inst, q_max=3).passed
+    assert not verify_hu(planted, q_max=3, check_chain=False).passed
 
 
 def _tsallis_case(p, pair, gens):

@@ -1,4 +1,4 @@
-"""The JSON readers' input contract, fuzzed: subset tables, error tables and render documents.
+"""The readers' input contract, fuzzed: subset tables, error tables, render documents and sample tables.
 
 Each example writes a valid input, mutates it the ways hand-found reader
 faults went (a key written twice at any depth, a number spelled another
@@ -7,13 +7,18 @@ NUL and non-UTF-8 bytes, deep nesting, a subset key with a sign or spaces,
 an extra top-level key) and runs ``cli.main`` in process.  A subset table
 is also read by a strict reference reader written here from the README's
 contract, which must accept exactly what the CLI accepts; an accepted input
-must give the same bytes as its canonical respelling.
+must give the same bytes as its canonical respelling.  A CSV sample table
+is mutated the ways a sample table goes wrong (a ragged row, a second
+``__weight`` column, a bad weight, NUL and non-UTF-8 bytes, a quoted field
+holding the delimiter); an accepted one must give the same bytes as each
+of its respellings.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -253,3 +258,98 @@ def test_render_documents_refuse_cleanly_and_ignore_spelling(document, space, da
             path.write_text(json.dumps(strict, sort_keys=True), encoding="utf-8")
             assert _run("render", str(path), str(again)) == (0, "")
             assert again.read_bytes() == svg.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# sample tables as lists of rows of fields, header first
+
+
+@st.composite
+def _sample_tables(draw):
+    """A valid table: 1-3 variables (names may repeat), 1-6 samples, and
+    maybe a ``__weight`` column of positive weights at a drawn place."""
+    n = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(["x", "y", "é"]), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(st.sampled_from(["0", "1", "a b", "é"]), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        for row in [header, *rows]:
+            row.insert(at, "__weight" if row is header else draw(st.sampled_from(["1", "0.5", "3e0"])))
+    return [header, *rows]
+
+
+def _delimited(table, delimiter=",", quoting=csv.QUOTE_MINIMAL) -> str:
+    text = io.StringIO()
+    csv.writer(text, delimiter=delimiter, quoting=quoting, lineterminator="\n").writerows(table)
+    return text.getvalue()
+
+
+# in the order they apply, so each finds the fields it changes; bytes go in last
+_TABLE_MUTATIONS = ("weight-column", "bad-weight", "nul", "quoted", "ragged", "bytes")
+_REFUSED = ("weight-column", "bad-weight", "ragged", "bytes")  # each alone makes the table exit 2
+
+
+def _add_weight_column(table) -> None:
+    for row in table:
+        row.append("__weight" if row is table[0] else "1")
+
+
+def _mutate_table(data, table, mutations) -> bytes:
+    """``table`` as CSV bytes after the drawn ``mutations``."""
+    header, rows = table[0], table[1:]
+    for mutation in sorted(mutations, key=_TABLE_MUTATIONS.index):
+        if mutation == "ragged":  # a row loses its last field, or a row of one field gains one
+            row = data.draw(st.sampled_from(rows))
+            if len(row) > 1:
+                row.pop()
+            else:
+                row.append("0")
+        elif mutation == "weight-column":
+            while header.count("__weight") < 2:
+                _add_weight_column(table)
+        elif mutation == "bad-weight":
+            if "__weight" not in header:
+                _add_weight_column(table)
+            data.draw(st.sampled_from(rows))[header.index("__weight")] = data.draw(
+                st.sampled_from(["nan", "-1", "inf", "x"]))
+        elif mutation in ("nul", "quoted"):
+            row = data.draw(st.sampled_from(table if mutation == "nul" else rows))
+            at = data.draw(st.sampled_from([i for i, name in enumerate(header) if name != "__weight"]))
+            row[at] = row[at] + "\x00" if mutation == "nul" else "a,b"
+    raw = _delimited(table).encode("utf-8")
+    if "bytes" in mutations:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3"])) + raw[at:]
+    return raw
+
+
+@settings(FUZZ, max_examples=100)
+@given(table=_sample_tables(), data=st.data())
+def test_sample_tables_refuse_cleanly_and_ignore_spelling(table, data):
+    mutations = data.draw(st.lists(st.sampled_from(_TABLE_MUTATIONS), max_size=2))
+    raw = _mutate_table(data, table, mutations)
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+
+        def diagram(name: str, content: bytes):
+            path, doc = folder / name, folder / (name + ".json")
+            path.write_bytes(content)
+            code, _ = _run("diagram", str(path), "--instance", "shannon", "--qmax", "1", "--out", str(doc))
+            return code, doc.read_bytes() if code == 0 else None
+
+        code, doc = diagram("in.csv", raw)
+        if any(mutation in _REFUSED for mutation in mutations):
+            assert code == 2
+        elif "nul" not in mutations:  # the csv module reads a NUL from Python 3.11 on, and refuses it before
+            assert code == 0, raw
+        if code == 0:
+            text = raw.decode("utf-8")
+            for name, respelled in [
+                ("crlf.csv", text.replace("\n", "\r\n").encode("utf-8")),
+                ("bom.csv", b"\xef\xbb\xbf" + raw),
+                ("blank.csv", ("\n" + text.replace("\n", "\n\n", 1) + "\n").encode("utf-8")),
+                ("quoted.csv", _delimited(table, quoting=csv.QUOTE_ALL).encode("utf-8")),
+                ("table.tsv", _delimited(table, delimiter="\t").encode("utf-8")),
+            ]:
+                assert diagram(name, respelled) == (0, doc), name

@@ -13,6 +13,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_joint, random_pair
 from infodiagram import (
@@ -122,6 +124,20 @@ def test_unit_totals_give_every_check_a_gap_of_exactly_zero(mode, n, q_max):
         totals[k] = 1.0
         report = verify_hu(ChainRuleInstance(n, totals), q_max=q_max, mode=mode, seed=k)
         assert report.residuals.gap.tolist() == [0.0] * len(report.residuals)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.sampled_from([2, 3, 4, 6]), k=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_roundoff_on_random_signed_totals_stays_within_the_scaled_tolerance(n, k, seed):
+    # the identities are exact, so every gap is roundoff, which grows with the totals:
+    # far under the default bound tol * max(1, max |F1|), at every magnitude
+    totals = np.random.default_rng(seed).uniform(-1.0, 1.0, 1 << n) * 10.0 ** k
+    totals[0] = 0.0
+    scale = max(1.0, float(np.max(np.abs(totals))))
+    report = verify_hu(ChainRuleInstance(n, totals.tolist()), q_max=3, seed=seed)
+    assert report.mode == ("exhaustive" if n <= 4 else "sampled")
+    assert report.passed
+    assert max(report.max_residual, report.chain_residual) <= 1e-12 * scale
 
 
 def _write(doc, tmp_path, fmt):
