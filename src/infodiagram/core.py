@@ -159,6 +159,15 @@ def _check_term(l_masks, j_mask: int, n: int) -> tuple:
     """``l_masks`` as a tuple, checked with ``j_mask`` as the arguments of a
     conditional interaction term of degree ``len(l_masks) >= 1``."""
     l_masks = tuple(l_masks)
+    # one loop accepts plain-int masks in range, as the sweep's are; any
+    # other argument takes the per-argument checks, which name its fault
+    size = 1 << n
+    for m in l_masks:
+        if type(m) is not int or not 0 <= m < size:
+            break
+    else:
+        if l_masks and type(j_mask) is int and 0 <= j_mask < size:
+            return l_masks
     if not l_masks:
         raise DomainError("interaction needs at least one argument (q >= 1)")
     for l in l_masks:
@@ -419,14 +428,20 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
 
     Defined recursively: degree 1 is ``k1(l | j)``, and each higher degree
     subtracts a copy conditioned additionally on its last argument, so a
-    degree-q term makes 2**(q - 1) calls of the memoized ``k1``.  The
-    arguments are sorted first, which canonicalizes their order.
+    degree-q term makes 2**(q - 1) calls of the memoized ``k1``.  A
+    degree-2 node is evaluated inline, as ``k1(a | j) - k1(a | b OR j)``:
+    the same two terms, subtracted in the same order, as its two degree-1
+    children give.  The arguments are sorted first, which canonicalizes
+    their order.
     """
     l_masks = _check_term(l_masks, j_mask, inst.n)
     return _interaction_rec(inst, tuple(sorted(l_masks)), j_mask)
 
 
 def _interaction_rec(inst: ChainRuleInstance, prefix: tuple[int, ...], z_mask: int) -> float:
+    if len(prefix) == 2:
+        a, b = prefix
+        return inst.k1c(a, z_mask) - inst.k1c(a, b | z_mask)
     if len(prefix) == 1:
         return inst.k1c(prefix[0], z_mask)
     rest = prefix[:-1]

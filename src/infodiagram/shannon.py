@@ -310,19 +310,16 @@ def marginal(p: Dist, x: RandomVariable) -> Dist:
     _check_same_size(p, x)
     count, codes = x._blocks
     masses = np.bincount(codes, weights=p.masses, minlength=count)
-    _check_masses(masses, MASS_TOL + len(p) * 2.0 ** -53)
-    masses.setflags(write=False)
-    pushed = object.__new__(Dist)
-    object.__setattr__(pushed, "masses", masses)
-    object.__setattr__(pushed, "_variable", x)
-    return pushed
+    return _derived(masses, MASS_TOL + len(p) * 2.0 ** -53, variable=x)
 
 
 def condition(p: Dist, x: RandomVariable, value) -> Dist:
     """Renormalized restriction of ``p`` to ``x == value``.
 
     If the value has probability zero, returns ``p`` unchanged; that
-    convention keeps averaged sums free of case splits.
+    convention keeps averaged sums free of case splits.  Otherwise the
+    result is a derived distribution (see :func:`_derived`): read-only
+    masses, zero off the block, and the points of ``p``, the same object.
     """
     _check_same_size(p, x)
     labels, codes = x._coded
@@ -333,8 +330,27 @@ def condition(p: Dist, x: RandomVariable, value) -> Dist:
     px = float(p.masses[block].sum())
     if px == 0.0:
         return p
-    masses = np.where(block, p.masses, 0.0) / px
-    return Dist(masses=masses, points=p.points)
+    # the bits of np.where(block, p.masses, 0.0) / px, in one pass
+    masses = np.divide(p.masses, px, out=np.zeros(len(p)), where=block)
+    return _derived(masses, MASS_TOL, points=p.points)
+
+
+def _derived(masses: np.ndarray, tol: float, points: tuple = None, variable: RandomVariable = None) -> Dist:
+    """A :class:`Dist` that takes over ``masses``, a fresh float array
+    computed from a valid distribution: checked at ``tol`` and made
+    read-only, without the conversion, copy and points re-wrap that
+    ``Dist(...)`` makes for an array it may share.  Its points are the tuple
+    ``points``, or for a pushforward those of ``variable``, built on first
+    read."""
+    _check_masses(masses, tol)
+    masses.setflags(write=False)
+    dist = object.__new__(Dist)
+    object.__setattr__(dist, "masses", masses)
+    if variable is None:
+        object.__setattr__(dist, "points", points)
+    else:
+        object.__setattr__(dist, "_variable", variable)
+    return dist
 
 
 def condition_pair(pair: DistPair, x: RandomVariable, value) -> DistPair:
@@ -495,6 +511,10 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     ``f1`` and ``action`` also read the distinct labels of the variables
     they condition on.  ``k1(y, z)`` averages the values of ``y`` over the
     labels of ``z``, a route to the totals difference independent of it.
+    The weights of z's labels at ``ctx`` are the same for every ``y``, so
+    ``k1`` takes them once per conditioning mask, as the joints are built
+    once per mask; the conditioned distributions are built per call, since
+    kept they would cost labels times points.
     """
     gens = tuple(gens)
     _check_n(len(gens))
@@ -503,15 +523,20 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     size = len(ctx)
     values = [_apply(value, ctx, joint_of(gens, mask, size), param) for mask in range(1 << len(gens))]
     var = functools.cache(lambda mask: joint_of(gens, mask, size))
+    ctx_weights = functools.cache(lambda mask: _apply(weights, ctx, var(mask), param))
     tag, condition_fn = ("entropy", condition) if isinstance(ctx, Dist) else ("divergence", condition_pair)
 
     def average(x: RandomVariable, f, c) -> float:
         return _average(x, f, c, _apply(weights, c, x, param), condition_fn)
 
+    def k1(y_mask: int, z_mask: int) -> float:
+        x, y = var(z_mask), var(y_mask)
+        return _average(x, lambda c: _apply(value, c, y, param), ctx, ctx_weights(z_mask), condition_fn)
+
     return ChainRuleInstance(
         n=len(gens),
         totals=[v - values[0] for v in values],
-        k1=lambda y_mask, z_mask: average(var(z_mask), lambda c: _apply(value, c, var(y_mask), param), ctx),
+        k1=k1,
         f1=lambda mask: InfoFunction(lambda c: _apply(value, c, var(mask), param), tag),
         action=lambda f, mask: InfoFunction(lambda c: average(var(mask), f, c), "conditioned"),
         evaluate=lambda f: f(ctx),

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_joint
+from conftest import random_joint, random_pair
 from infodiagram import (
     ChainRuleInstance,
     DomainError,
     InfoFunction,
     SetFunction,
     VerificationError,
+    alpha_kl_instance,
     atom_interaction,
     atom_measure,
     atom_table,
@@ -111,6 +112,14 @@ def test_hu_region_examples():
     # the residual columns hold masks as numpy integers, not ints
     ((np.uint8(1),), 0, "interaction mask np.uint8(1) is a uint8, not an int"),
     ((0b01,), np.uint8(1), "conditioning mask np.uint8(1) is a uint8, not an int"),
+    ((True,), 0, "interaction mask True is a bool, not an int"),
+    ((0b01,), True, "conditioning mask True is a bool, not an int"),
+    ((1.0,), 0, "interaction mask 1.0 is a float, not an int"),
+    ((0b01,), 1.0, "conditioning mask 1.0 is a float, not an int"),
+    ((-1,), 0, "interaction mask -1 is not a subset of 1..2"),
+    ((0b01,), -1, "conditioning mask -1 is not a subset of 1..2"),
+    # the L masks are named before J, whichever fails first in one pass
+    ((0b01, 1.0), -1, "interaction mask 1.0 is a float, not an int"),
 ])
 def test_term_functions_refuse_bad_arguments_alike(l_masks, j_mask, message):
     inst = random_r1(np.random.default_rng(12), 2)
@@ -122,6 +131,18 @@ def test_term_functions_refuse_bad_arguments_alike(l_masks, j_mask, message):
         with pytest.raises(DomainError) as info:
             term()
         assert str(info.value) == message
+
+
+def test_term_functions_accept_int_subclass_masks():
+    class Mask(int):
+        pass
+
+    inst = random_r1(np.random.default_rng(12), 2)
+    for l_masks, j_mask in (((Mask(1), Mask(2)), Mask(0)), ((1, Mask(3)), 0), ((1, 2), Mask(2))):
+        plain_l, plain_j = tuple(map(int, l_masks)), int(j_mask)
+        assert interaction(inst, l_masks, j_mask) == interaction(inst, plain_l, plain_j)
+        assert interaction_incl_excl(inst, l_masks, j_mask) == interaction_incl_excl(inst, plain_l, plain_j)
+        assert hu_region(l_masks, j_mask, 2) == hu_region(plain_l, plain_j, 2)
 
 
 @settings(max_examples=200)
@@ -263,6 +284,35 @@ def test_interaction_with_neutral_argument_vanishes():
     assert interaction(inst, (0,), 0b011) == pytest.approx(0.0, abs=1e-12)
     assert interaction(inst, (0, 0b011), 0) == pytest.approx(0.0, abs=1e-12)
     assert interaction(inst, (0b101, 0, 0b110), 0b010) == pytest.approx(0.0, abs=1e-12)
+
+
+def _plain_rec(inst, prefix, z_mask):
+    """The recursion with one call per node down to degree 1, the reference
+    for the engine's, which evaluates degree-2 nodes inline."""
+    if len(prefix) == 1:
+        return inst.k1c(prefix[0], z_mask)
+    rest = prefix[:-1]
+    return _plain_rec(inst, rest, z_mask) - _plain_rec(inst, rest, prefix[-1] | z_mask)
+
+
+@pytest.mark.parametrize("family", ["totals", "alpha-kl"])
+def test_inline_degree_two_nodes_give_the_plain_recursion_bit_for_bit(family):
+    def fresh():  # one instance per route, so neither reads k1 values the other memoized
+        if family == "totals":
+            return random_r1(np.random.default_rng(31), 4)
+        dist, gens = random_joint(np.random.default_rng(32), 3)
+        return alpha_kl_instance(random_pair(np.random.default_rng(33), dist), gens, 0.5)
+
+    inst, reference = fresh(), fresh()
+    rng = np.random.default_rng(34)
+    size = 1 << inst.n
+    for q in range(1, 7):
+        for _ in range(60):
+            l_masks = rng.integers(0, size, q).tolist()
+            j = int(rng.integers(0, size))
+            want = _plain_rec(reference, tuple(sorted(l_masks)), j)
+            rng.shuffle(l_masks)
+            assert interaction(inst, l_masks, j).hex() == want.hex(), (l_masks, j)
 
 
 def test_incl_excl_degree_one_is_chain_conditional():
@@ -663,6 +713,28 @@ def test_verify_residual_scales_with_chain_noise():
     assert 0 < chain_gap <= 3 * delta
     report = verify_hu(noisy, q_max=3, tol=1e-9, check_chain=False)
     assert report.max_residual <= 8 * delta * 2**3
+
+
+@pytest.mark.parametrize("n, q_max", [(4, 4), (5, 3)])
+def test_a_chain_residual_of_delta_bounds_every_degree_q_gap_by_2_to_the_q_minus_1_delta(n, q_max):
+    # the chain-rule certificate: a degree-q term is a signed sum of
+    # 2**(q - 1) k1 values and its region measure the same sum of totals
+    # differences, so a k1 within delta of them at every pair holds every
+    # degree-q identity within 2**(q - 1) * delta, plus the roundoff of the sums
+    rng = np.random.default_rng([28, n])
+    size = 1 << n
+    totals = rng.uniform(-1.0, 1.0, size) * 1e6
+    totals[0] = 0.0
+    scale = float(np.max(np.abs(totals)))
+    delta = 1e-9 * scale
+    noise = rng.uniform(-delta, delta, (size, size)).tolist()
+    exact = ChainRuleInstance(n, totals.tolist())
+    noisy = ChainRuleInstance(n, exact.totals, k1=lambda y, z: exact.k1(y, z) + noise[y][z])
+    assert check_chain_rule(noisy, tol=0.0)[0] <= delta + 1e-12 * scale
+    rows = verify_hu(noisy, q_max=q_max, check_chain=False).residuals
+    for q in range(1, q_max + 1):
+        assert rows.gap[rows.q == q].max() <= 2 ** (q - 1) * delta + 1e-12 * scale, q
+    assert rows.gap[rows.q == 1].max() > 0.5 * delta  # the noise shows
 
 
 def test_atom_values_deterministic_across_threads():

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -138,6 +139,79 @@ def test_roundoff_on_random_signed_totals_stays_within_the_scaled_tolerance(n, k
     assert report.mode == ("exhaustive" if n <= 4 else "sampled")
     assert report.passed
     assert max(report.max_residual, report.chain_residual) <= 1e-12 * scale
+
+
+def _exact_routes(totals, n, q_max):
+    """Each exhaustive check of ``verify_hu`` in exact arithmetic: its lhs by
+    the recursion over ``k1(y | z) = F1(y OR z) - F1(z)``, its rhs by the atom
+    transform, the zeta transform and the region sum, each with the sum of
+    the absolute values of the totals it adds up, one per leaf of its tree of
+    float operations.  Each float total is a ``Fraction`` whose denominator
+    is a power of two, so the largest is a common denominator, and every
+    value is an int over it."""
+    fractions = [Fraction(t) for t in totals]
+    den = max(f.denominator for f in fractions)
+    t = [f.numerator * (den // f.denominator) for f in fractions]
+    size, full = 1 << n, (1 << n) - 1
+
+    def lhs(prefix, z):
+        if len(prefix) == 1:
+            return t[prefix[0] | z] - t[z], abs(t[prefix[0] | z]) + abs(t[z])
+        (v, a), (w, b) = lhs(prefix[:-1], z), lhs(prefix[:-1], prefix[-1] | z)
+        return v - w, a + b
+
+    # atom_table's butterflies, then _subset_zeta's, each beside its |leaves| twin
+    mu, mu_abs = [0] + t[1:], [0] + [abs(v) for v in t[1:]]
+    for i in range(n):
+        for s in range(size):
+            if not s >> i & 1:
+                mu[s] -= mu[s | 1 << i]
+                mu_abs[s] += mu_abs[s | 1 << i]
+    zeta, zeta_abs = [0] + [-mu[full ^ a] for a in range(1, size)], [0] + [mu_abs[full ^ a] for a in range(1, size)]
+    for i in range(n):
+        for s in range(size):
+            if s >> i & 1:
+                zeta[s] += zeta[s ^ 1 << i]
+                zeta_abs[s] += zeta_abs[s ^ 1 << i]
+
+    def rhs(l_tuple, j):
+        terms = [(False, j)]
+        for l in l_tuple:
+            terms += [(not odd, union | l) for odd, union in terms]
+        value = sum(-zeta[full ^ u] if odd else zeta[full ^ u] for odd, u in terms)
+        return value, sum(zeta_abs[full ^ u] for _, u in terms)
+
+    for q in range(1, q_max + 1):
+        for l_tuple in combinations_with_replacement(range(size), q):
+            for j in range(size):
+                yield lhs(l_tuple, j), rhs(l_tuple, j), den
+
+
+def _within_gamma(value: float, exact: int, den: int, ops: int, leaves: int) -> bool:
+    """``|value - exact / den| <= gamma_ops * leaves / den``, decided in ints:
+    ``gamma_m = m u / (1 - m u)`` with ``u = 2**-53`` bounds the relative
+    error of a value that went through at most ``m`` roundings (Higham 2002,
+    Lemma 3.1 and section 4.2).  ``den`` is a multiple of the float's own
+    denominator, since a rounded sum of multiples of ``1 / den`` is one too."""
+    num, fden = value.as_integer_ratio()
+    assert den % fden == 0
+    return abs(num * (den // fden) - exact) * (2 ** 53 - ops) <= ops * leaves
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(n=st.sampled_from([2, 3, 4]), k=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_float_route_is_within_its_rounding_bound_of_the_exact_value(n, k, seed):
+    # a leaf of the lhs goes through q roundings (one difference, q - 1 levels
+    # of the recursion); one of the rhs through n (atoms), n (zeta) and 2**q
+    # (the region sum); the two exact routes are one value, as Hu's theorem says
+    totals = np.random.default_rng(seed).uniform(-1.0, 1.0, 1 << n) * 10.0 ** k
+    totals[0] = 0.0
+    q_max = 3
+    rows = verify_hu(ChainRuleInstance(n, totals.tolist()), q_max=q_max, mode="exhaustive").residuals
+    for r, ((lhs, lhs_leaves), (rhs, rhs_leaves), den) in zip(rows, _exact_routes(totals.tolist(), n, q_max), strict=True):
+        assert lhs == rhs
+        assert _within_gamma(r.lhs, lhs, den, r.q, lhs_leaves), r
+        assert _within_gamma(r.rhs, rhs, den, 2 * n + 2 ** r.q, rhs_leaves), r
 
 
 def _write(doc, tmp_path, fmt):

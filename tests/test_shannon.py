@@ -736,7 +736,12 @@ def test_coded_partition_matches_label_scans_bit_for_bit():
             if px == 0.0:
                 assert got is p
             else:
-                assert got.masses.tolist() == (np.where(block, p.masses, 0.0) / px).tolist()
+                # bit for bit, and a read-only distribution on the points of p
+                assert got.masses.tobytes() == (np.where(block, p.masses, 0.0) / px).tobytes()
+                assert not got.masses.flags.writeable and got.points is p.points
+                for copy in (pickle.loads(pickle.dumps(got)), replace(got)):
+                    assert type(copy) is Dist and copy.masses.tobytes() == got.masses.tobytes()
+                    assert copy.points == p.points
 
         coarse = RandomVariable(labels=tuple(str(lab)[:2] for lab in x.labels))
         for a, b in ((x, y), (y, x), (x, coarse), (coarse, x), (x, x)):
