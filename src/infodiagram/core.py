@@ -296,7 +296,8 @@ class ChainRuleInstance:
     action: Callable[[Any, int], Any] | None = None
     evaluate: Callable[[Any], float] | None = None
     meta: dict = field(default_factory=dict)
-    # not an __init__ argument, so a dataclasses.replace copy starts with an empty memo
+    # k1(y | z) as _k1_cache[y][z]: int keys, so a read builds and hashes no tuple.  Not
+    # an __init__ argument, so a dataclasses.replace copy starts with an empty memo
     _k1_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -306,13 +307,14 @@ class ChainRuleInstance:
             self.k1 = lambda y_mask, z_mask: totals[y_mask | z_mask] - totals[z_mask]
 
     def k1c(self, y_mask: int, z_mask: int) -> float:
-        """Memoized ``k1``; the recursion revisits shared terms exponentially often."""
-        key = (y_mask, z_mask)
-        val = self._k1_cache.get(key)
-        if val is None:
+        """Memoized ``k1``, and the only caller of ``k1``: :func:`interaction`
+        reads its terms from this memo and sends a missing term here."""
+        try:
+            return self._k1_cache[y_mask][z_mask]
+        except KeyError:
             val = float(self.k1(y_mask, z_mask))
-            self._k1_cache[key] = val
-        return val
+            self._k1_cache.setdefault(y_mask, {})[z_mask] = val
+            return val
 
     def total(self, y_mask: int) -> float:
         """Unconditional degree-1 value ``F1(X_y)`` of a joint element."""
@@ -428,24 +430,39 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
 
     Defined recursively: degree 1 is ``k1(l | j)``, and each higher degree
     subtracts a copy conditioned additionally on its last argument, so a
-    degree-q term makes 2**(q - 1) calls of the memoized ``k1``.  A
-    degree-2 node is evaluated inline, as ``k1(a | j) - k1(a | b OR j)``:
-    the same two terms, subtracted in the same order, as its two degree-1
-    children give.  The arguments are sorted first, which canonicalizes
-    their order.
+    degree-q term is a signed sum of 2**(q - 1) conditional terms
+    ``k1(a | w)``.  The terms are read from the memo that
+    :meth:`ChainRuleInstance.k1c` fills, and a term missing from it is
+    evaluated through ``k1c``, so ``k1`` is reached only through ``k1c``.
+    A node of degree 3 or less is one expression over the memo, e.g.
+    ``(k1(a | j) - k1(a | b OR j)) - (k1(a | c OR j) - k1(a | b OR c OR j))``:
+    the same terms, subtracted in the same order, as the recursion down to
+    degree 1 gives, so every value is that recursion's to the bit.  A
+    higher degree splits on its last argument down to such nodes.  The
+    arguments are sorted first, which canonicalizes their order.
     """
     l_masks = _check_term(l_masks, j_mask, inst.n)
-    return _interaction_rec(inst, tuple(sorted(l_masks)), j_mask)
+    return _interaction_node(inst, sorted(l_masks), j_mask)
 
 
-def _interaction_rec(inst: ChainRuleInstance, prefix: tuple[int, ...], z_mask: int) -> float:
-    if len(prefix) == 2:
-        a, b = prefix
-        return inst.k1c(a, z_mask) - inst.k1c(a, b | z_mask)
-    if len(prefix) == 1:
-        return inst.k1c(prefix[0], z_mask)
-    rest = prefix[:-1]
-    return _interaction_rec(inst, rest, z_mask) - _interaction_rec(inst, rest, prefix[-1] | z_mask)
+def _interaction_node(inst: ChainRuleInstance, prefix: list[int], z: int) -> float:
+    q = len(prefix)
+    if q > 3:
+        rest = prefix[:-1]
+        return _interaction_node(inst, rest, z) - _interaction_node(inst, rest, prefix[-1] | z)
+    memo, a = inst._k1_cache, prefix[0]
+    try:
+        row = memo[a]
+        if q == 3:
+            _, b, c = prefix
+            bz = b | z
+            return (row[z] - row[bz]) - (row[c | z] - row[c | bz])
+        if q == 2:
+            return row[z] - row[prefix[1] | z]
+        return row[z]
+    except KeyError as miss:  # k1c evaluates and memoizes the first term missing; read the node again
+        inst.k1c(a, miss.args[0] if a in memo else z)
+        return _interaction_node(inst, prefix, z)
 
 
 def interaction_incl_excl(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:

@@ -54,7 +54,8 @@ class Dist:
     """Probability mass function over an enumerated finite sample space.
 
     ``points`` names the sample points (defaults to their indices); masses
-    must be nonnegative and sum to 1 within 1e-12.  A pushforward from
+    must be nonnegative and sum to 1 within 1e-12, and are kept as a
+    read-only array, in a pickled or deep copy too.  A pushforward from
     :func:`marginal` is checked against the rounding bound of its sums
     instead, and keeps its variable in place of its points: it builds them,
     the variable's ``values()``, on first read; ``repr``,
@@ -92,6 +93,11 @@ class Dist:
     def __getstate__(self):
         # a pushforward pickles as a distribution built with its points does
         return {"masses": self.masses, "points": self.points}
+
+    def __setstate__(self, state):
+        # numpy restores an array writable, in a pickle and a deepcopy alike
+        state["masses"].setflags(write=False)
+        self.__dict__.update(state)
 
 
 # the default lives on in __init__; without the class attribute an unread

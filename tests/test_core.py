@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -288,15 +289,22 @@ def test_interaction_with_neutral_argument_vanishes():
 
 def _plain_rec(inst, prefix, z_mask):
     """The recursion with one call per node down to degree 1, the reference
-    for the engine's, which evaluates degree-2 nodes inline."""
+    for the engine's, which reads each node of degree <= 3 from the k1 memo
+    in one expression."""
     if len(prefix) == 1:
         return inst.k1c(prefix[0], z_mask)
     rest = prefix[:-1]
     return _plain_rec(inst, rest, z_mask) - _plain_rec(inst, rest, prefix[-1] | z_mask)
 
 
+def _memo(inst):
+    """The k1 values an instance has memoized, keyed by (y, z)."""
+    return {(y, z): v for y, row in inst._k1_cache.items() for z, v in row.items()}
+
+
+@pytest.mark.parametrize("memo", ["empty", "chain-checked", "half-seeded"])
 @pytest.mark.parametrize("family", ["totals", "alpha-kl"])
-def test_inline_degree_two_nodes_give_the_plain_recursion_bit_for_bit(family):
+def test_memo_reads_give_the_plain_recursion_bit_for_bit(family, memo):
     def fresh():  # one instance per route, so neither reads k1 values the other memoized
         if family == "totals":
             return random_r1(np.random.default_rng(31), 4)
@@ -304,8 +312,14 @@ def test_inline_degree_two_nodes_give_the_plain_recursion_bit_for_bit(family):
         return alpha_kl_instance(random_pair(np.random.default_rng(33), dist), gens, 0.5)
 
     inst, reference = fresh(), fresh()
-    rng = np.random.default_rng(34)
     size = 1 << inst.n
+    if memo == "chain-checked":
+        check_chain_rule(inst)
+        assert len(_memo(inst)) == size * size
+    elif memo == "half-seeded":
+        for y, z in np.argwhere(np.random.default_rng(35).random((size, size)) < 0.5).tolist():
+            inst.k1c(y, z)
+    rng = np.random.default_rng(34)
     for q in range(1, 7):
         for _ in range(60):
             l_masks = rng.integers(0, size, q).tolist()
@@ -313,6 +327,32 @@ def test_inline_degree_two_nodes_give_the_plain_recursion_bit_for_bit(family):
             want = _plain_rec(reference, tuple(sorted(l_masks)), j)
             rng.shuffle(l_masks)
             assert interaction(inst, l_masks, j).hex() == want.hex(), (l_masks, j)
+    # each term memoized as k1 gave it; a memo that starts empty gains only the terms read
+    assert _memo(reference).items() <= _memo(inst).items()
+    if memo == "empty":
+        assert len(_memo(inst)) == len(_memo(reference))
+
+
+@pytest.mark.parametrize("family", ["totals", "alpha-kl"])
+def test_the_sweep_reaches_k1_once_per_pair_and_only_through_k1c(family):
+    if family == "totals":
+        inst = random_r1(np.random.default_rng(40), 4)
+    else:
+        dist, gens = random_joint(np.random.default_rng(41), 4)
+        inst = alpha_kl_instance(random_pair(np.random.default_rng(42), dist), gens, 0.5)
+    k1, k1c_code = inst.k1, ChainRuleInstance.k1c.__code__
+    calls, callers = [], set()
+
+    def counted(y_mask, z_mask):
+        calls.append((y_mask, z_mask))
+        callers.add(sys._getframe(1).f_code)
+        return k1(y_mask, z_mask)
+
+    counted_inst = dataclasses.replace(inst, k1=counted)
+    report = verify_hu(counted_inst, q_max=3, mode="exhaustive", check_chain=False)
+    assert report.passed and len(report.residuals) == 15488
+    assert len(calls) == len(set(calls)) == len(_memo(counted_inst))
+    assert callers == {k1c_code}
 
 
 def test_incl_excl_degree_one_is_chain_conditional():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import tracemalloc
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -651,6 +652,20 @@ def test_lazy_pushforward_repr_replace_and_pickle_match_an_eager_one():
             DistPair(p=marginal(dist, x), q=Dist(masses=marginal(other, x).masses))
         index = RandomVariable(labels=tuple(range(len(lazy))))
         assert condition(marginal(dist, x), index, 0).points is x.values()
+
+
+@pytest.mark.parametrize("route", ["pickle", "deepcopy"])
+def test_a_copied_dist_keeps_read_only_masses(route):
+    copier = {"pickle": lambda d: pickle.loads(pickle.dumps(d)), "deepcopy": deepcopy}[route]
+    rng = np.random.default_rng(20279)
+    dist = strictly_positive(rng, 6, points=tuple(f"s{i}" for i in range(6)))
+    x = RandomVariable(labels=(0, 0, 1, 1, 2, 2))
+    for original in (dist, marginal(dist, x), condition(dist, x, 1)):
+        back = copier(original)
+        assert type(back) is Dist and back.points == original.points
+        assert back.masses.tobytes() == original.masses.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            back.masses[0] = 7.0
 
 
 def test_kept_joints_hold_codes_not_tuple_labels():
