@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -490,6 +491,11 @@ def _apply(formula, ctx, x, param):
     pair = not isinstance(ctx, Dist)
     pm = marginal(ctx.p if pair else ctx, x).masses
     qm = marginal(ctx.q, x).masses if pair else None
+    return _evaluate(formula, pm, qm, param)
+
+
+def _evaluate(formula, pm, qm, param):
+    """``formula(pm, qm, param)``, refused with :class:`DomainError` if it overflows or is not finite."""
     try:
         with np.errstate(over="raise"):
             out = formula(pm, qm, param)
@@ -500,6 +506,102 @@ def _apply(formula, ctx, x, param):
         name = formula.__name__[1:].replace("_", " ")  # family and part, e.g. "alpha kl weights"
         raise DomainError(f"{name} out of floating-point range at parameter {param!r}")
     return out
+
+
+_CHUNK = 1 << 12  # a grouped pushforward table holds at most max(points, _CHUNK) entries at once
+
+
+class _GroupedAction:
+    """``k1(y | z)`` of an action-form family, conditioning on each label of z once.
+
+    ``condition_fn`` (:func:`condition` or :func:`condition_pair`, with
+    their checks) conditions ``ctx`` on each label of ``z`` with nonzero
+    weight, and only the label's block is kept: its points in ascending
+    order, the conditioned masses there (P's, and Q's for a pair) and the
+    label's rank among the kept labels.  These go into arrays of one entry
+    per sample point, allocated on first use, and hold the last
+    conditioning variable only.  A conditioned distribution is ``+0.0`` off
+    its block, so every kept label's pushforward along ``y`` is a row of one
+    ``bincount`` over ``rank * ny + y's code`` per distribution: each row
+    holds the sums :func:`marginal` forms, added in the same order, and is
+    checked by its rule, so each value is the bits of :func:`_average` on
+    the label route.  A lock keeps a call's conditioning and its reads
+    together when threads share the instance.
+    """
+
+    def __init__(self, ctx, condition_fn, formula, param):
+        self.ctx = ctx
+        self.condition_fn = condition_fn
+        self.formula = formula
+        self.param = param
+        self.pair = not isinstance(ctx, Dist)
+        self.z = self.points = None
+        self.lock = threading.Lock()
+
+    def __call__(self, z: RandomVariable, weights, y: RandomVariable) -> float:
+        """``k1(y | z)``, with ``weights`` those of z's labels; ``z`` is one object per conditioning mask."""
+        with self.lock:
+            if z is not self.z:
+                self.z = None  # a refusal while conditioning leaves nothing held
+                self._condition_on(z, weights)
+                self.z = z
+            return self._average(y)
+
+    def _condition_on(self, x: RandomVariable, weights) -> None:
+        ctx = self.ctx
+        if self.points is None:
+            size = len(ctx)
+            self.points = np.empty(size, dtype=np.intp)
+            self.rank = np.empty(size, dtype=np.intp)
+            self.masses = [np.empty(size) for _ in range(2 if self.pair else 1)]
+        count, codes = x._blocks
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=count)).tolist()
+        self.weights, self.starts = [], [0]
+        lo = 0
+        for label, weight, hi in zip(x.values(), weights, bounds):
+            w = float(weight)
+            if w != 0.0:
+                c = self.condition_fn(ctx, x, label)
+                start = self.starts[-1]
+                stop = start + hi - lo
+                block = self.points[start:stop]
+                block[:] = order[lo:hi]
+                self.rank[start:stop] = len(self.weights)
+                for out, dist in zip(self.masses, (c.p, c.q) if self.pair else (c,)):
+                    np.take(dist.masses, block, out=out[start:stop])
+                self.weights.append(w)
+                self.starts.append(stop)
+            lo = hi
+
+    def _average(self, y: RandomVariable) -> float:
+        """Sum of ``w * formula`` on the pushforward along ``y`` of each kept label, left to right.
+
+        The pushforward table is built ``max(points, _CHUNK) // ny`` rows at
+        a time; a row that fails :func:`marginal`'s check is refused, with
+        its message, before the rows after it are evaluated.
+        """
+        size = len(self.ctx)
+        ny, cy = y._blocks
+        tol = MASS_TOL + size * 2.0 ** -53
+        step = max(size, _CHUNK) // ny
+        total = 0.0
+        for first in range(0, len(self.weights), step):
+            weights = self.weights[first:first + step]
+            lo, hi = self.starts[first], self.starts[first + len(weights)]
+            cells = (self.rank[lo:hi] - first) * ny + cy[self.points[lo:hi]]
+            tables = [np.bincount(cells, weights=m[lo:hi], minlength=len(weights) * ny).reshape(-1, ny)
+                      for m in self.masses]
+            ok = np.logical_and.reduce([(t.min(axis=1) >= 0) & (np.abs(t.sum(axis=1) - 1.0) <= tol)
+                                        for t in tables]).tolist()
+            qms = tables[1] if self.pair else [None] * len(weights)
+            for w, pm, qm, good in zip(weights, tables[0], qms, ok):
+                if not good:
+                    _check_masses(pm, tol)
+                    if qm is not None:
+                        _check_masses(qm, tol)
+                total += w * _evaluate(self.formula, pm, qm, self.param)
+        return total
 
 
 def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstance:
@@ -517,10 +619,13 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     ``f1`` and ``action`` also read the distinct labels of the variables
     they condition on.  ``k1(y, z)`` averages the values of ``y`` over the
     labels of ``z``, a route to the totals difference independent of it.
-    The weights of z's labels at ``ctx`` are the same for every ``y``, so
-    ``k1`` takes them once per conditioning mask, as the joints are built
-    once per mask; the conditioned distributions are built per call, since
-    kept they would cost labels times points.
+    The weights of z's labels and the distributions conditioned on them are
+    the same for every ``y``: ``k1`` takes the weights once per conditioning
+    mask, as the joints are built once per mask, and conditions on each
+    label once for the last mask asked (:class:`_GroupedAction`), so a
+    run of calls with one ``z``, as the chain check makes, conditions once
+    and reads each ``y``'s pushforwards from one grouped ``bincount``.
+    Every ``k1`` value is the bits of the label route's :func:`_average`.
     """
     gens = tuple(gens)
     _check_n(len(gens))
@@ -531,13 +636,13 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     var = functools.cache(lambda mask: joint_of(gens, mask, size))
     ctx_weights = functools.cache(lambda mask: _apply(weights, ctx, var(mask), param))
     tag, condition_fn = ("entropy", condition) if isinstance(ctx, Dist) else ("divergence", condition_pair)
+    grouped = _GroupedAction(ctx, condition_fn, value, param)
 
     def average(x: RandomVariable, f, c) -> float:
         return _average(x, f, c, _apply(weights, c, x, param), condition_fn)
 
     def k1(y_mask: int, z_mask: int) -> float:
-        x, y = var(z_mask), var(y_mask)
-        return _average(x, lambda c: _apply(value, c, y, param), ctx, ctx_weights(z_mask), condition_fn)
+        return grouped(var(z_mask), ctx_weights(z_mask), var(y_mask))
 
     return ChainRuleInstance(
         n=len(gens),

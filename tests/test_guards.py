@@ -6,12 +6,19 @@ totals difference, agrees with the region measures by construction.  So
 these tests plant a fault in an instance's own conditional and require the
 sweep and the chain check to see exactly that fault, and they hold each
 action-form family's ``k1`` to its averaged-conditioning definition,
-computed here on the label route.
+computed here on the label route.  That ``k1`` conditions once per
+conditioning mask and reads every y from one grouped table, so the guards
+also run it in the chain check's order and shuffled, bound its memory,
+match its refusals and share it between threads.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +26,9 @@ import pytest
 
 from conftest import random_pair, scaled_sqrt_modular
 from infodiagram import (
+    Dist,
+    DistPair,
+    DomainError,
     SetFunction,
     VerificationError,
     alpha_kl,
@@ -163,3 +173,123 @@ def test_action_form_k1_is_the_family_average_over_the_conditioning_labels(case)
     # the totals difference is another route, which differs by roundoff: a
     # k1 replaced by it fails the comparison above
     assert differs > 0
+
+
+def _zero_heavy_pair(n):
+    """A pair on the seeded n-column table whose P is zero on every third
+    point while Q, the table's own distribution, covers every point: the
+    shape of the benchmark's verify input, so the conditioning labels of
+    P-mass zero, whose weight is 0, are skipped."""
+    q, gens = _table(n)
+    masses = q.masses.copy()
+    masses[::3] = 0.0
+    return DistPair(p=Dist(masses / masses.sum(), q.points), q=q), gens
+
+
+@pytest.mark.parametrize("case", [_tsallis_case, _kl_case, _cross_entropy_case, _alpha_kl_case],
+                         ids=["tsallis", "kl", "cross-entropy", "alpha-kl"])
+def test_grouped_k1_is_the_label_route_bit_for_bit_in_the_chain_checks_order_and_shuffled(case):
+    # k1 conditions once per conditioning mask and keeps the last one only,
+    # so the chain check's order (one z for a run of y) mostly reuses it and
+    # a shuffled order mostly conditions anew; both give the label route's bits
+    pair, gens = _zero_heavy_pair(5)
+    p = pair.p
+    assert np.any(p.masses == 0.0) and np.all(pair.q.masses > 0.0)
+    _, ctx, condition_fn, value, weights = case(p, pair, gens)
+    size = len(p)
+    want = {}
+    for z in range(32):
+        x_z = joint_of(gens, z, size)
+        w = weights(ctx, x_z)
+        for y in range(32):
+            x_y = joint_of(gens, y, size)
+            want[y, z] = _average(x_z, lambda c: value(c, x_y), ctx, w, condition_fn).hex()
+    # at z = 31 every label is one point, so each zero of P is a label of weight 0
+    assert any(float(w) == 0.0 for w in weights(ctx, joint_of(gens, 31, size)))
+
+    inst = case(p, pair, gens)[0]
+    calls = []
+
+    def recorded(y, z):
+        calls.append((y, z, inst.k1(y, z)))
+        return calls[-1][2]
+
+    check_chain_rule(replace(inst, k1=recorded))
+    assert len(calls) == 32 * 32
+    assert [(y, z, got.hex()) for y, z, got in calls] == [(y, z, want[y, z]) for y, z, _ in calls]
+
+    inst = case(p, pair, gens)[0]
+    pairs = sorted(want)
+    random.Random(30).shuffle(pairs)
+    assert [(y, z, inst.k1(y, z).hex()) for y, z in pairs] == [(y, z, want[y, z]) for y, z in pairs]
+
+
+def test_grouped_k1_holds_a_bounded_table_however_many_labels_meet():
+    # 679 points; z = 62 has 243 labels and y = 63 has 679, so the whole
+    # grouped table would be 243 x 679 floats (1.3 MB); it is built in row
+    # chunks of at most max(points, 4096) entries
+    p, gens = _table(6, rows=2000)
+    assert len(p) == 679
+    inst = tsallis_instance(p, gens, 0.7)
+    inst.k1(62, 62)  # builds the joints, their labels and the weights of z = 62 and 63
+    inst.k1(63, 63)  # and leaves z = 63 the conditioning mask held
+    tracemalloc.start()
+    try:
+        got = inst.k1(63, 62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
+    assert got == pytest.approx(inst.totals[63] - inst.totals[62], rel=0, abs=1e-12)
+
+
+def test_grouped_k1_refuses_what_the_label_route_refuses_with_its_message():
+    # at alpha < 0 a Tsallis weight needs every pushforward mass positive:
+    # conditioned on a label of generator 1, the pushforward along generator
+    # 1 is one label of mass 1 and the others 0, so k1(1, 1) is refused,
+    # while along generator 2 every mass is positive
+    p, gens = _table(3)
+    assert np.all(p.masses > 0)
+    inst = tsallis_instance(p, gens, -0.5)
+    size = len(p)
+
+    def label_route(y, z):
+        x_y, x_z = joint_of(gens, y, size), joint_of(gens, z, size)
+        return _average(x_z, lambda c: tsallis_entropy(c, x_y, -0.5), p, marginal(p, x_z).masses ** -0.5,
+                        condition)
+
+    with pytest.raises(DomainError, match="strictly positive") as labels:
+        label_route(1, 1)
+
+    def refusal(y, z):
+        with pytest.raises(DomainError) as grouped:
+            inst.k1(y, z)
+        return str(grouped.value)
+
+    assert refusal(1, 1) == str(labels.value)  # z = 1 conditioned afresh
+    assert refusal(1, 1) == str(labels.value)  # z = 1 held
+    got = inst.k1(1, 2)
+    assert math.isfinite(got) and got.hex() == label_route(1, 2).hex()
+    assert refusal(1, 1) == str(labels.value)  # z = 1 conditioned again
+
+
+def test_grouped_k1_gives_the_serial_bits_when_threads_share_the_instance():
+    # k1 holds the last conditioning mask's blocks, so threads sharing one
+    # instance must not read blocks another thread is rewriting
+    pair, gens = _zero_heavy_pair(4)
+    pairs = [(y, z) for z in range(16) for y in range(16)]
+    serial = alpha_kl_instance(pair, gens, 0.5)
+    want = [(y, z, serial.k1(y, z).hex()) for y, z in pairs]
+    shared = alpha_kl_instance(pair, gens, 0.5)
+    orders = [random.Random(seed).sample(range(len(pairs)), len(pairs)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda order: {i: shared.k1(*pairs[i]).hex() for i in order}, order)
+                       for order in orders]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert [(y, z, got[i]) for i, (y, z) in enumerate(pairs)] == want
