@@ -46,10 +46,12 @@ atoms; both are n * 2**n butterflies (Yates 1937).  :func:`atom_measure`,
 :func:`region_measure` and :func:`mobius_oracle` keep the closed-form and
 linear-solve routes as independent oracles for them.
 
-All operations are pure functions of immutable inputs (instance caches are
-only ever filled with recomputable values), so everything here is safe to
-call from multiple threads; every transform and sum runs in a fixed order,
-making each value deterministic regardless of scheduling.
+All operations are pure functions of immutable inputs, and an instance's
+caches hold only immutable values, each recomputable from those inputs
+(the ``k1`` memo's floats; for an action-form family its joints and its
+read-only conditioned blocks), so everything here is safe to call from
+multiple threads with no lock; every transform and sum runs in a fixed
+order, making each value deterministic regardless of scheduling.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -154,14 +153,16 @@ class RandomVariable:
     :func:`refines`, :func:`equivalent` and the coding of joints read, and
     ``_coded`` is the distinct labels in first-occurrence order with the
     same codes, which :meth:`values`, :func:`condition` and the averaging
-    action read.  A joint built by :func:`joint` or :func:`joint_of` keeps
-    its parts, its ``_blocks`` coded from their codes and the first point of
-    each code, in place of its labels: its distinct labels are picked from
-    the parts' labels at those first points on first read, and the tuple
-    ``labels`` is built on first read, with those same objects at the first
-    points.  ``len()`` and everything that reads ``_blocks`` leave both
-    unbuilt; ``repr``, :func:`dataclasses.replace` and pickling read them.
-    Any other variable is coded on first use, from its labels.
+    action read; :func:`condition` finds a label's code in the dict
+    ``_label_codes``, built from :meth:`values` on first use.  A joint built
+    by :func:`joint` or :func:`joint_of` keeps its parts, its ``_blocks``
+    coded from their codes and the first point of each code, in place of
+    its labels: its distinct labels are picked from the parts' labels at
+    those first points on first read, and the tuple ``labels`` is built on
+    first read, with those same objects at the first points.  ``len()`` and
+    everything that reads ``_blocks`` leave both unbuilt; ``repr``,
+    :func:`dataclasses.replace` and pickling read them.  Any other variable
+    is coded on first use, from its labels.
     """
 
     labels: tuple
@@ -193,7 +194,7 @@ class RandomVariable:
         # a variable pickles as its labels, name and, once coded, _coded: a
         # joint as a variable built from its labels does
         state = {"labels": self.labels, **self.__dict__}
-        for key in ("_parts", "_firsts", "_blocks"):
+        for key in ("_parts", "_firsts", "_blocks", "_label_codes"):
             state.pop(key, None)
         return state
 
@@ -208,6 +209,11 @@ class RandomVariable:
     def _blocks(self):
         values, codes = self._coded
         return len(values), codes
+
+    @functools.cached_property
+    def _label_codes(self) -> dict:
+        # the distinct labels are distinct dict keys, so each maps to its own code
+        return {label: code for code, label in enumerate(self.values())}
 
     def values(self) -> tuple:
         """Distinct labels in first-occurrence order."""
@@ -329,10 +335,9 @@ def condition(p: Dist, x: RandomVariable, value) -> Dist:
     masses, zero off the block, and the points of ``p``, the same object.
     """
     _check_same_size(p, x)
-    labels, codes = x._coded
     try:
-        block = codes == labels.index(value)
-    except ValueError:
+        block = x._coded[1] == x._label_codes[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise DomainError(f"{value!r} is not a label of the variable") from None
     px = float(p.masses[block].sum())
     if px == 0.0:
@@ -511,97 +516,82 @@ def _evaluate(formula, pm, qm, param):
 _CHUNK = 1 << 12  # a grouped pushforward table holds at most max(points, _CHUNK) entries at once
 
 
-class _GroupedAction:
-    """``k1(y | z)`` of an action-form family, conditioning on each label of z once.
+def _condition_blocks(ctx, condition_fn, x: RandomVariable, weights):
+    """``ctx`` conditioned on each label of ``x`` with nonzero weight, as one read-only value.
 
     ``condition_fn`` (:func:`condition` or :func:`condition_pair`, with
-    their checks) conditions ``ctx`` on each label of ``z`` with nonzero
-    weight, and only the label's block is kept: its points in ascending
-    order, the conditioned masses there (P's, and Q's for a pair) and the
-    label's rank among the kept labels.  These go into arrays of one entry
-    per sample point, allocated on first use, and hold the last
-    conditioning variable only.  A conditioned distribution is ``+0.0`` off
-    its block, so every kept label's pushforward along ``y`` is a row of one
-    ``bincount`` over ``rank * ny + y's code`` per distribution: each row
-    holds the sums :func:`marginal` forms, added in the same order, and is
-    checked by its rule, so each value is the bits of :func:`_average` on
-    the label route.  A lock keeps a call's conditioning and its reads
-    together when threads share the instance.
+    their checks) conditions on each such label in label order, and only
+    the label's block is kept: its points in ascending order, the
+    conditioned masses there (P's, and Q's for a pair) and the label's
+    rank among the kept labels.  Returns fresh read-only arrays ``(points,
+    rank, masses, weights, starts)``: one entry per kept point in
+    ``points``, ``rank`` and each array of the tuple ``masses`` (one per
+    distribution), one per kept label in ``weights``, and block ``i`` at
+    ``starts[i]:starts[i + 1]``.
     """
+    pair = not isinstance(ctx, Dist)
+    size = len(ctx)
+    points, rank = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    masses = [np.empty(size) for _ in range(2 if pair else 1)]
+    count, codes = x._blocks
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=count)).tolist()
+    kept, starts, lo = [], [0], 0
+    for label, weight, hi in zip(x.values(), weights, bounds):
+        w = float(weight)
+        if w != 0.0:
+            c = condition_fn(ctx, x, label)
+            start = starts[-1]
+            stop = start + hi - lo
+            block = points[start:stop]
+            block[:] = order[lo:hi]
+            rank[start:stop] = len(kept)
+            for out, dist in zip(masses, (c.p, c.q) if pair else (c,)):
+                np.take(dist.masses, block, out=out[start:stop])
+            kept.append(w)
+            starts.append(stop)
+        lo = hi
+    end = starts[-1]
+    points, rank, masses = points[:end], rank[:end], tuple(m[:end] for m in masses)
+    weights, starts = np.array(kept, dtype=float), np.array(starts)
+    for arr in (points, rank, *masses, weights, starts):
+        arr.setflags(write=False)
+    return points, rank, masses, weights, starts
 
-    def __init__(self, ctx, condition_fn, formula, param):
-        self.ctx = ctx
-        self.condition_fn = condition_fn
-        self.formula = formula
-        self.param = param
-        self.pair = not isinstance(ctx, Dist)
-        self.z = self.points = None
-        self.lock = threading.Lock()
 
-    def __call__(self, z: RandomVariable, weights, y: RandomVariable) -> float:
-        """``k1(y | z)``, with ``weights`` those of z's labels; ``z`` is one object per conditioning mask."""
-        with self.lock:
-            if z is not self.z:
-                self.z = None  # a refusal while conditioning leaves nothing held
-                self._condition_on(z, weights)
-                self.z = z
-            return self._average(y)
+def _grouped_average(blocks, y: RandomVariable, formula, param) -> float:
+    """Sum of ``w * formula`` on the pushforward along ``y`` of each label kept in ``blocks``, left to right.
 
-    def _condition_on(self, x: RandomVariable, weights) -> None:
-        ctx = self.ctx
-        if self.points is None:
-            size = len(ctx)
-            self.points = np.empty(size, dtype=np.intp)
-            self.rank = np.empty(size, dtype=np.intp)
-            self.masses = [np.empty(size) for _ in range(2 if self.pair else 1)]
-        count, codes = x._blocks
-        order = np.argsort(codes, kind="stable")
-        bounds = np.cumsum(np.bincount(codes, minlength=count)).tolist()
-        self.weights, self.starts = [], [0]
-        lo = 0
-        for label, weight, hi in zip(x.values(), weights, bounds):
-            w = float(weight)
-            if w != 0.0:
-                c = self.condition_fn(ctx, x, label)
-                start = self.starts[-1]
-                stop = start + hi - lo
-                block = self.points[start:stop]
-                block[:] = order[lo:hi]
-                self.rank[start:stop] = len(self.weights)
-                for out, dist in zip(self.masses, (c.p, c.q) if self.pair else (c,)):
-                    np.take(dist.masses, block, out=out[start:stop])
-                self.weights.append(w)
-                self.starts.append(stop)
-            lo = hi
-
-    def _average(self, y: RandomVariable) -> float:
-        """Sum of ``w * formula`` on the pushforward along ``y`` of each kept label, left to right.
-
-        The pushforward table is built ``max(points, _CHUNK) // ny`` rows at
-        a time; a row that fails :func:`marginal`'s check is refused, with
-        its message, before the rows after it are evaluated.
-        """
-        size = len(self.ctx)
-        ny, cy = y._blocks
-        tol = MASS_TOL + size * 2.0 ** -53
-        step = max(size, _CHUNK) // ny
-        total = 0.0
-        for first in range(0, len(self.weights), step):
-            weights = self.weights[first:first + step]
-            lo, hi = self.starts[first], self.starts[first + len(weights)]
-            cells = (self.rank[lo:hi] - first) * ny + cy[self.points[lo:hi]]
-            tables = [np.bincount(cells, weights=m[lo:hi], minlength=len(weights) * ny).reshape(-1, ny)
-                      for m in self.masses]
-            ok = np.logical_and.reduce([(t.min(axis=1) >= 0) & (np.abs(t.sum(axis=1) - 1.0) <= tol)
-                                        for t in tables]).tolist()
-            qms = tables[1] if self.pair else [None] * len(weights)
-            for w, pm, qm, good in zip(weights, tables[0], qms, ok):
-                if not good:
-                    _check_masses(pm, tol)
-                    if qm is not None:
-                        _check_masses(qm, tol)
-                total += w * _evaluate(self.formula, pm, qm, self.param)
-        return total
+    A conditioned distribution is ``+0.0`` off its block, so the kept
+    labels' pushforwards are the rows of one ``bincount`` over ``rank * ny
+    + y's code`` per distribution: each row holds the sums :func:`marginal`
+    forms, added in the same order, and is checked by its rule, so the sum
+    is the bits of :func:`_average` on the label route.  The table is built
+    ``max(points, _CHUNK) // ny`` rows at a time; a row that fails
+    :func:`marginal`'s check is refused, with its message, before the rows
+    after it are evaluated.
+    """
+    points, rank, masses, weights, starts = blocks
+    size = len(y)
+    ny, cy = y._blocks
+    tol = MASS_TOL + size * 2.0 ** -53
+    step = max(size, _CHUNK) // ny
+    total = 0.0
+    for first in range(0, weights.size, step):
+        ws = weights[first:first + step].tolist()
+        lo, hi = starts[first], starts[first + len(ws)]
+        cells = (rank[lo:hi] - first) * ny + cy[points[lo:hi]]
+        tables = [np.bincount(cells, weights=m[lo:hi], minlength=len(ws) * ny).reshape(-1, ny) for m in masses]
+        ok = np.logical_and.reduce([(t.min(axis=1) >= 0) & (np.abs(t.sum(axis=1) - 1.0) <= tol)
+                                    for t in tables]).tolist()
+        qms = tables[1] if len(masses) == 2 else [None] * len(ws)
+        for w, pm, qm, good in zip(ws, tables[0], qms, ok):
+            if not good:
+                _check_masses(pm, tol)
+                if qm is not None:
+                    _check_masses(qm, tol)
+            total += w * _evaluate(formula, pm, qm, param)
+    return total
 
 
 def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstance:
@@ -620,12 +610,14 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     they condition on.  ``k1(y, z)`` averages the values of ``y`` over the
     labels of ``z``, a route to the totals difference independent of it.
     The weights of z's labels and the distributions conditioned on them are
-    the same for every ``y``: ``k1`` takes the weights once per conditioning
-    mask, as the joints are built once per mask, and conditions on each
-    label once for the last mask asked (:class:`_GroupedAction`), so a
+    a value of ``z`` alone, the same for every ``y``: ``k1`` takes them as
+    read-only blocks (:func:`_condition_blocks`) cached for the last
+    conditioning mask asked, as the joints are built once per mask, so a
     run of calls with one ``z``, as the chain check makes, conditions once
-    and reads each ``y``'s pushforwards from one grouped ``bincount``.
-    Every ``k1`` value is the bits of the label route's :func:`_average`.
+    and reads each ``y``'s pushforwards from one grouped ``bincount``
+    (:func:`_grouped_average`).  Threads sharing the instance share only
+    those immutable arrays.  Every ``k1`` value is the bits of the label
+    route's :func:`_average`.
     """
     gens = tuple(gens)
     _check_n(len(gens))
@@ -634,15 +626,18 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     size = len(ctx)
     values = [_apply(value, ctx, joint_of(gens, mask, size), param) for mask in range(1 << len(gens))]
     var = functools.cache(lambda mask: joint_of(gens, mask, size))
-    ctx_weights = functools.cache(lambda mask: _apply(weights, ctx, var(mask), param))
     tag, condition_fn = ("entropy", condition) if isinstance(ctx, Dist) else ("divergence", condition_pair)
-    grouped = _GroupedAction(ctx, condition_fn, value, param)
+
+    @functools.lru_cache(maxsize=1)
+    def blocks(z_mask: int):
+        z = var(z_mask)
+        return _condition_blocks(ctx, condition_fn, z, _apply(weights, ctx, z, param))
 
     def average(x: RandomVariable, f, c) -> float:
         return _average(x, f, c, _apply(weights, c, x, param), condition_fn)
 
     def k1(y_mask: int, z_mask: int) -> float:
-        return grouped(var(z_mask), ctx_weights(z_mask), var(y_mask))
+        return _grouped_average(blocks(z_mask), var(y_mask), value, param)
 
     return ChainRuleInstance(
         n=len(gens),

@@ -6,10 +6,11 @@ totals difference, agrees with the region measures by construction.  So
 these tests plant a fault in an instance's own conditional and require the
 sweep and the chain check to see exactly that fault, and they hold each
 action-form family's ``k1`` to its averaged-conditioning definition,
-computed here on the label route.  That ``k1`` conditions once per
-conditioning mask and reads every y from one grouped table, so the guards
-also run it in the chain check's order and shuffled, bound its memory,
-match its refusals and share it between threads.
+computed here on the label route.  That ``k1`` conditions on a mask's
+labels once, into one read-only value cached for the last mask asked, and
+reads every y from one grouped table, so the guards also run it in the
+chain check's order and shuffled, count its conditioning calls, bound its
+memory, match its refusals and share it between threads.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from infodiagram import (
     tsallis_instance,
     verify_hu,
 )
+from infodiagram import shannon
 from infodiagram.shannon import _average, condition, condition_pair
 
 DELTA = 1e-3
@@ -224,6 +226,34 @@ def test_grouped_k1_is_the_label_route_bit_for_bit_in_the_chain_checks_order_and
     assert [(y, z, inst.k1(y, z).hex()) for y, z in pairs] == [(y, z, want[y, z]) for y, z in pairs]
 
 
+@pytest.mark.parametrize("case", [_tsallis_case, _alpha_kl_case], ids=["tsallis", "alpha-kl"])
+def test_k1_conditions_once_per_run_of_one_conditioning_mask(case, monkeypatch):
+    # the conditioned blocks are cached for the last mask asked, so the chain
+    # check conditions on z's labels of nonzero weight once per run of calls
+    # with one z (a pair conditions its P and its Q), not once per call
+    pair, gens = _zero_heavy_pair(4)
+    conditioned = []
+
+    def counting(p, x, value):
+        conditioned.append(value)
+        return condition(p, x, value)
+
+    monkeypatch.setattr(shannon, "condition", counting)
+    inst, ctx, _, _, weights = case(pair.p, pair, gens)
+    calls = []
+
+    def recorded(y, z):
+        calls.append(z)
+        return inst.k1(y, z)
+
+    check_chain_rule(replace(inst, k1=recorded))
+    runs = [z for i, z in enumerate(calls) if i == 0 or calls[i - 1] != z]
+    assert len(runs) < len(calls)
+    per_label = 2 if ctx is pair else 1
+    kept = [sum(float(w) != 0.0 for w in weights(ctx, joint_of(gens, z, len(pair.p)))) for z in runs]
+    assert len(conditioned) == per_label * sum(kept)
+
+
 def test_grouped_k1_holds_a_bounded_table_however_many_labels_meet():
     # 679 points; z = 62 has 243 labels and y = 63 has 679, so the whole
     # grouped table would be 243 x 679 floats (1.3 MB); it is built in row
@@ -273,9 +303,17 @@ def test_grouped_k1_refuses_what_the_label_route_refuses_with_its_message():
     assert refusal(1, 1) == str(labels.value)  # z = 1 conditioned again
 
 
-def test_grouped_k1_gives_the_serial_bits_when_threads_share_the_instance():
-    # k1 holds the last conditioning mask's blocks, so threads sharing one
-    # instance must not read blocks another thread is rewriting
+def test_grouped_k1_gives_the_serial_bits_when_threads_share_the_instance(monkeypatch):
+    # k1 caches the last conditioning mask's blocks, which threads sharing
+    # one instance all read: each is a read-only value, so none can rewrite it
+    made = []
+    blocks = shannon._condition_blocks
+
+    def recording(*args):
+        made.append(blocks(*args))
+        return made[-1]
+
+    monkeypatch.setattr(shannon, "_condition_blocks", recording)
     pair, gens = _zero_heavy_pair(4)
     pairs = [(y, z) for z in range(16) for y in range(16)]
     serial = alpha_kl_instance(pair, gens, 0.5)
@@ -293,3 +331,8 @@ def test_grouped_k1_gives_the_serial_bits_when_threads_share_the_instance():
         sys.setswitchinterval(interval)
     for got in results:
         assert [(y, z, got[i]) for i, (y, z) in enumerate(pairs)] == want
+    assert made
+    for points, rank, masses, weights, starts in made:
+        for arr in (points, rank, *masses, weights, starts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0

@@ -779,6 +779,8 @@ def test_condition_agrees_with_marginal_on_a_self_unequal_label():
     assert refines(x, x)
     with pytest.raises(DomainError, match="is not a label"):
         condition(p, x, float("nan"))  # an equal-looking but distinct NaN object
+    with pytest.raises(DomainError, match="is not a label"):
+        condition(p, x, [1])  # unhashable, so no label's key
     # 1, True and 1.0 are one label; two distinct NaN objects are two
     distinct_nans = RandomVariable(labels=(float("nan"), float("nan"), 1.0, 1, True))
     for a, b, same in ((x, RandomVariable(labels=(0, 0, 1, 1, 1)), True), (x, distinct_nans, False),
