@@ -161,15 +161,6 @@ def _check_term(l_masks, j_mask: int, n: int) -> tuple:
     """``l_masks`` as a tuple, checked with ``j_mask`` as the arguments of a
     conditional interaction term of degree ``len(l_masks) >= 1``."""
     l_masks = tuple(l_masks)
-    # one loop accepts plain-int masks in range, as the sweep's are; any
-    # other argument takes the per-argument checks, which name its fault
-    size = 1 << n
-    for m in l_masks:
-        if type(m) is not int or not 0 <= m < size:
-            break
-    else:
-        if l_masks and type(j_mask) is int and 0 <= j_mask < size:
-            return l_masks
     if not l_masks:
         raise DomainError("interaction needs at least one argument (q >= 1)")
     for l in l_masks:
@@ -441,13 +432,24 @@ def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
     the same terms, subtracted in the same order, as the recursion down to
     degree 1 gives, so every value is that recursion's to the bit.  A
     higher degree splits on its last argument down to such nodes.  The
-    arguments are sorted first, which canonicalizes their order.
+    arguments are sorted first, which canonicalizes their order; a tuple of
+    plain ints already sorted and in range, with a plain-int ``j_mask`` in
+    range, as every check of :func:`verify_hu` is, is taken as it is, and
+    any other arguments are checked by :func:`_check_term` and sorted.
     """
-    l_masks = _check_term(l_masks, j_mask, inst.n)
-    return _interaction_node(inst, sorted(l_masks), j_mask)
+    size = 1 << inst.n
+    if type(l_masks) is tuple and l_masks and type(j_mask) is int and 0 <= j_mask < size:
+        low = 0  # not -1: a mask below 0 is refused
+        for m in l_masks:
+            if type(m) is not int or not low <= m < size:
+                break
+            low = m
+        else:
+            return _interaction_node(inst, l_masks, j_mask)
+    return _interaction_node(inst, sorted(_check_term(l_masks, j_mask, inst.n)), j_mask)
 
 
-def _interaction_node(inst: ChainRuleInstance, prefix: list[int], z: int) -> float:
+def _interaction_node(inst: ChainRuleInstance, prefix, z: int) -> float:
     q = len(prefix)
     if q > 3:
         rest = prefix[:-1]

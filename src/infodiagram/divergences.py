@@ -17,7 +17,12 @@ builder, :func:`.shannon._action_instance`, makes all five probabilistic
 families, Shannon's included: the totals are the value of every joint, and
 the conditional ``k1`` is the action-form average with the family's
 weights, so the chain-rule check and the verification sweep compare one
-route against the other.  Every one of these chain rules forces
+route against the other.  Each value is one definition for one pushforward
+and for a table of them, one per row, as ``k1`` hands it every conditioned
+pushforward of one conditioning mask at once; each row's value is the bits
+of its own pushforward's.  Tsallis's is numpy's, summed along the rows; the
+pair families keep ``math`` and Python floats per cell, summed left to
+right by :func:`_sum`.  Every one of these chain rules forces
 ``k1(y | z) = F1(y or z) - F1(z)`` for every alpha; what fails for
 alpha != 1 is the plain average with weights ``P_Z(z)``.  Tsallis and
 alpha-KL values use the base-free alpha-logarithm; their alpha -> 1
@@ -30,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from itertools import islice
 
 import numpy as np
 
@@ -68,12 +74,25 @@ def _tsallis_weights(pm, qm, alpha):
 
 
 def _tsallis_value(pm, qm, alpha):
-    return (float(_tsallis_weights(pm, qm, alpha).sum()) - 1.0) / (1.0 - alpha)
+    # the weights of a table's C-contiguous rows are summed row by row with
+    # the one-pushforward sum's pairwise order, so each row gives its bits
+    return ((_tsallis_weights(pm, qm, alpha).sum(axis=-1) - 1.0) / (1.0 - alpha)).tolist()
 
 
-def _pair_terms(pm, qm, term):
-    """``term(P_X(x), Q_X(x))`` per label, on Python floats; 0.0 where ``P_X(x) = 0``."""
-    return [term(pv, qv) if pv > 0.0 else 0.0 for pv, qv in zip(pm.tolist(), qm.tolist())]
+def _pair_sums(pm, qm, term):
+    """Per pushforward, the :func:`_sum` of ``term(P_X(x), Q_X(x))`` on Python
+    floats over the labels where ``P_X(x) > 0``, as an array shaped as ``pm``
+    without its label axis: one sum, or one per row of a table.
+
+    The cells where P is positive are made Python floats by one ``tolist``
+    per distribution and taken row by row, and a sum from 0.0 that skips a
+    label of P-mass 0 has the bits of one that adds 0.0 there, so each
+    row's sum is the bits of its own pushforward's.
+    """
+    pos = pm > 0.0
+    cells = map(term, pm[pos].tolist(), qm[pos].tolist())
+    counts = pos.reshape(-1, pos.shape[-1]).sum(axis=1).tolist()
+    return np.array([_sum(islice(cells, count)) for count in counts]).reshape(pm.shape[:-1])
 
 
 def _sum(terms) -> float:
@@ -82,22 +101,29 @@ def _sum(terms) -> float:
 
 
 def _kl_value(pm, qm, scale):
-    return _sum(_pair_terms(pm, qm, lambda pv, qv: pv * math.log(pv / qv))) * scale
+    return (_pair_sums(pm, qm, lambda pv, qv: pv * math.log(pv / qv)) * scale).tolist()
 
 
 def _cross_entropy_value(pm, qm, scale):
-    return _sum(_pair_terms(pm, qm, lambda pv, qv: -pv * math.log(qv))) * scale
+    return (_pair_sums(pm, qm, lambda pv, qv: -pv * math.log(qv)) * scale).tolist()
+
+
+def _alpha_kl_term(pm, qm, alpha):
+    """The per-label term ``P_X(x)**alpha * Q_X(x)**(1 - alpha)``, once alpha < 0
+    has found every mass of ``pm`` and ``qm`` strictly positive."""
+    if alpha < 0 and (np.any(pm < MIN_ALPHA_MASS) or np.any(qm < MIN_ALPHA_MASS)):
+        raise DomainError(f"negative alpha requires strictly positive masses (>= {MIN_ALPHA_MASS})")
+    return lambda pv, qv: pv ** alpha * qv ** (1.0 - alpha)
 
 
 def _alpha_kl_weights(pm, qm, alpha):
     """``P_X(x)**alpha * Q_X(x)**(1 - alpha)``, zero where ``P_X(x) = 0``."""
-    if alpha < 0 and (np.any(pm < MIN_ALPHA_MASS) or np.any(qm < MIN_ALPHA_MASS)):
-        raise DomainError(f"negative alpha requires strictly positive masses (>= {MIN_ALPHA_MASS})")
-    return _pair_terms(pm, qm, lambda pv, qv: pv ** alpha * qv ** (1.0 - alpha))
+    term = _alpha_kl_term(pm, qm, alpha)
+    return [term(pv, qv) if pv > 0.0 else 0.0 for pv, qv in zip(pm.tolist(), qm.tolist())]
 
 
 def _alpha_kl_value(pm, qm, alpha):
-    return (_sum(_alpha_kl_weights(pm, qm, alpha)) - 1.0) / (alpha - 1.0)
+    return ((_pair_sums(pm, qm, _alpha_kl_term(pm, qm, alpha)) - 1.0) / (alpha - 1.0)).tolist()
 
 
 def tsallis_entropy(p: Dist, x: RandomVariable, alpha: float) -> float:

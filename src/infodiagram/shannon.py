@@ -500,7 +500,12 @@ def _apply(formula, ctx, x, param):
 
 
 def _evaluate(formula, pm, qm, param):
-    """``formula(pm, qm, param)``, refused with :class:`DomainError` if it overflows or is not finite."""
+    """``formula(pm, qm, param)``, refused with :class:`DomainError` if it overflows or is not finite.
+
+    ``pm`` (and ``qm``) is one pushforward, or for a family's value a table
+    of them, one per row, which gives one value per row; either way the
+    call runs inside one ``np.errstate(over="raise")`` and one check.
+    """
     try:
         with np.errstate(over="raise"):
             out = formula(pm, qm, param)
@@ -565,11 +570,14 @@ def _grouped_average(blocks, y: RandomVariable, formula, param) -> float:
     A conditioned distribution is ``+0.0`` off its block, so the kept
     labels' pushforwards are the rows of one ``bincount`` over ``rank * ny
     + y's code`` per distribution: each row holds the sums :func:`marginal`
-    forms, added in the same order, and is checked by its rule, so the sum
-    is the bits of :func:`_average` on the label route.  The table is built
-    ``max(points, _CHUNK) // ny`` rows at a time; a row that fails
-    :func:`marginal`'s check is refused, with its message, before the rows
-    after it are evaluated.
+    forms, added in the same order, and is checked by its rule.  The table
+    is built ``max(points, _CHUNK) // ny`` rows at a time, and ``formula``
+    takes each chunk's table whole, one value per row (P's table, and Q's
+    for a pair), so the sum is the bits of :func:`_average` on the label
+    route.  A chunk with a row that fails :func:`marginal`'s check, or whose
+    table :func:`_evaluate` refuses, is taken again one row at a time, as
+    the label route takes it: the first failing row raises its own message
+    before the rows after it are evaluated.
     """
     points, rank, masses, weights, starts = blocks
     size = len(y)
@@ -582,15 +590,23 @@ def _grouped_average(blocks, y: RandomVariable, formula, param) -> float:
         lo, hi = starts[first], starts[first + len(ws)]
         cells = (rank[lo:hi] - first) * ny + cy[points[lo:hi]]
         tables = [np.bincount(cells, weights=m[lo:hi], minlength=len(ws) * ny).reshape(-1, ny) for m in masses]
-        ok = np.logical_and.reduce([(t.min(axis=1) >= 0) & (np.abs(t.sum(axis=1) - 1.0) <= tol)
-                                    for t in tables]).tolist()
-        qms = tables[1] if len(masses) == 2 else [None] * len(ws)
-        for w, pm, qm, good in zip(ws, tables[0], qms, ok):
-            if not good:
+        pts, qts = tables[0], tables[1] if len(masses) == 2 else None
+        values = None
+        # every row passes _check_masses iff the table's least mass and worst sum do; NaN fails both
+        if all(t.min() >= 0 and np.abs(t.sum(axis=1) - 1.0).max() <= tol for t in tables):
+            try:
+                values = _evaluate(formula, pts, qts, param)
+            except (ArithmeticError, ValueError):  # a DomainError too: the rows name the failing one
+                pass
+        if values is None:
+            values = []
+            for pm, qm in zip(pts, [None] * len(ws) if qts is None else qts):
                 _check_masses(pm, tol)
                 if qm is not None:
                     _check_masses(qm, tol)
-            total += w * _evaluate(formula, pm, qm, param)
+                values.append(_evaluate(formula, pm, qm, param))
+        for w, value in zip(ws, values):
+            total += w * value
     return total
 
 
@@ -600,7 +616,8 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     ``ctx`` is a :class:`Dist` or a :class:`DistPair`, conditioned with
     :func:`condition` or :func:`condition_pair`; ``value``, ``weights`` and
     ``param`` are a family's two formulas and its parameter (see
-    :func:`_apply`).  The totals are ``value(X_K) - value(X_0)`` for every
+    :func:`_apply`), and ``value`` also takes a table of pushforwards, one
+    per row (Shannon's need not: its instance drops this ``k1``).  The totals are ``value(X_K) - value(X_0)`` for every
     mask ``K``, each joint built once by :func:`joint_of` and dropped as
     soon as its value is taken; only the generators and the constant
     variable are coded from their labels, every joint from the generators'
@@ -614,8 +631,8 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     read-only blocks (:func:`_condition_blocks`) cached for the last
     conditioning mask asked, as the joints are built once per mask, so a
     run of calls with one ``z``, as the chain check makes, conditions once
-    and reads each ``y``'s pushforwards from one grouped ``bincount``
-    (:func:`_grouped_average`).  Threads sharing the instance share only
+    and reads each ``y``'s pushforwards from one grouped ``bincount``,
+    whose table the family's value takes whole (:func:`_grouped_average`).  Threads sharing the instance share only
     those immutable arrays.  Every ``k1`` value is the bits of the label
     route's :func:`_average`.
     """

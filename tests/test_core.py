@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_joint, random_pair
@@ -41,7 +41,7 @@ from infodiagram import (
     validate_action_form,
     verify_hu,
 )
-from infodiagram.core import _sweep_plan
+from infodiagram.core import _check_term, _interaction_node, _sweep_plan
 
 
 def random_r1(rng, n, dyadic=False):
@@ -144,6 +144,47 @@ def test_term_functions_accept_int_subclass_masks():
         assert interaction(inst, l_masks, j_mask) == interaction(inst, plain_l, plain_j)
         assert interaction_incl_excl(inst, l_masks, j_mask) == interaction_incl_excl(inst, plain_l, plain_j)
         assert hu_region(l_masks, j_mask, 2) == hu_region(plain_l, plain_j, 2)
+
+
+# a mask as a caller may pass one at n = 3: an int from -1 to 2**3, a bool or a numpy int
+_ANY_MASK = st.one_of(st.integers(-1, 8), st.booleans(), st.integers(-1, 8).map(np.int64))
+
+@settings(max_examples=400, deadline=None)
+@given(
+    l_masks=st.one_of(
+        st.lists(_ANY_MASK, max_size=4).map(tuple),
+        st.lists(_ANY_MASK, max_size=4),
+        st.lists(st.integers(-1, 8), max_size=4).map(sorted).map(tuple),
+    ),
+    j_mask=_ANY_MASK,
+)
+@example(l_masks=(-1,), j_mask=0)  # in order from -1, so only the range check refuses it
+@example(l_masks=(-1, 2), j_mask=0)
+@example(l_masks=(1, 8), j_mask=0)
+@example(l_masks=(2,), j_mask=8)
+@example(l_masks=(2, 1), j_mask=0)  # out of order: taken as it is, its bits differ from the sorted term's
+@example(l_masks=(4, 3, 1), j_mask=2)
+@example(l_masks=(), j_mask=0)
+@example(l_masks=(True, 2), j_mask=0)
+@example(l_masks=(np.int64(1), 2), j_mask=0)
+@example(l_masks=(1, 2), j_mask=np.int64(0))
+@example(l_masks=[1, 2, 4], j_mask=0)
+def test_canonical_arguments_skip_the_checks_and_give_the_checked_routes_bits(l_masks, j_mask):
+    # interaction takes a sorted tuple of plain ints in range, with a plain-int
+    # J in range, as it is; any other arguments go through _check_term and the
+    # sort.  Both give the checked route's bits or its refusal: an action-form
+    # instance's terms differ in the last bits when their order changes
+    dist, gens = random_joint(np.random.default_rng(32), 3)
+    inst = alpha_kl_instance(random_pair(np.random.default_rng(33), dist), gens, 0.5)
+
+    def outcome(term):
+        try:
+            return term().hex()
+        except DomainError as refused:
+            return str(refused)
+
+    want = outcome(lambda: _interaction_node(inst, sorted(_check_term(l_masks, j_mask, 3)), j_mask))
+    assert outcome(lambda: interaction(inst, l_masks, j_mask)) == want
 
 
 @settings(max_examples=200)

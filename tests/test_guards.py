@@ -8,9 +8,11 @@ sweep and the chain check to see exactly that fault, and they hold each
 action-form family's ``k1`` to its averaged-conditioning definition,
 computed here on the label route.  That ``k1`` conditions on a mask's
 labels once, into one read-only value cached for the last mask asked, and
-reads every y from one grouped table, so the guards also run it in the
-chain check's order and shuffled, count its conditioning calls, bound its
-memory, match its refusals and share it between threads.
+reads every y from one grouped table, which the family's value takes
+whole, so the guards also run it in the chain check's order and shuffled,
+count its conditioning calls, bound its memory, hold each table's values
+and refusals to the per-row route's, plant a failing row behind good ones
+and share it between threads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from infodiagram import (
     Dist,
     DistPair,
     DomainError,
+    RandomVariable,
     SetFunction,
     VerificationError,
     alpha_kl,
@@ -47,7 +50,7 @@ from infodiagram import (
     tsallis_instance,
     verify_hu,
 )
-from infodiagram import shannon
+from infodiagram import divergences, shannon
 from infodiagram.shannon import _average, condition, condition_pair
 
 DELTA = 1e-3
@@ -297,10 +300,150 @@ def test_grouped_k1_refuses_what_the_label_route_refuses_with_its_message():
         return str(grouped.value)
 
     assert refusal(1, 1) == str(labels.value)  # z = 1 conditioned afresh
-    assert refusal(1, 1) == str(labels.value)  # z = 1 held
+    assert refusal(1, 1) == str(labels.value)  # asked again after a refusal cached nothing
     got = inst.k1(1, 2)
     assert math.isfinite(got) and got.hex() == label_route(1, 2).hex()
     assert refusal(1, 1) == str(labels.value)  # z = 1 conditioned again
+
+
+_FAMILIES = {
+    "tsallis": (tsallis_instance, divergences._tsallis_value, divergences._tsallis_weights),
+    "kl": (lambda pair, gens, alpha: kl_instance(pair, gens, "bits"), divergences._kl_value, shannon._mass_weights),
+    "cross-entropy": (lambda pair, gens, alpha: cross_entropy_instance(pair, gens), divergences._cross_entropy_value,
+                      shannon._mass_weights),
+    "alpha-kl": (alpha_kl_instance, divergences._alpha_kl_value, divergences._alpha_kl_weights),
+}
+
+
+def _outcome(fn, *args):
+    """The float's bits, or the refusal's message, so that both must agree exactly."""
+    try:
+        return float(fn(*args)).hex()
+    except DomainError as refused:
+        return str(refused)
+
+
+def _row_route(inst, ctx, gens, value, weights, y, z):
+    """``k1(y | z)`` one pushforward at a time: each kept label of z conditions
+    ``ctx`` (label route), and the pushforward along y of each conditioned
+    context is checked by :func:`marginal` and evaluated alone by ``_evaluate``."""
+    param = inst.meta["alpha"] if "alpha" in inst.meta else shannon.log_scale(inst.meta["base"])
+    size = len(ctx)
+    x_y, x_z = joint_of(gens, y, size), joint_of(gens, z, size)
+    condition_fn = condition if isinstance(ctx, Dist) else condition_pair
+    return _average(x_z, lambda c: shannon._apply(value, c, x_y, param), ctx, shannon._apply(weights, ctx, x_z, param),
+                    condition_fn)
+
+
+# a negative alpha refuses the zero masses of the zero-heavy P in the totals themselves
+@pytest.mark.parametrize("context, kind, alpha", [
+    (context, kind, alpha) for kind in ("tsallis", "alpha-kl") for alpha in (-0.5, 0.3, 0.7, 2.0)
+    for context in ("positive", "zero-heavy") if alpha > 0 or context == "positive"
+] + [(context, kind, None) for kind in ("kl", "cross-entropy") for context in ("positive", "zero-heavy")])
+def test_grouped_k1_evaluates_each_table_whole_with_the_row_routes_bits_and_refusals(context, kind, alpha,
+                                                                                      monkeypatch):
+    # k1 hands each chunk's pushforward table to the family's formula whole:
+    # every value must be the bits of the per-row route, and every refusal its
+    # message.  Conditioning on z's labels leaves zero cells in most rows, which
+    # a negative alpha refuses; the zero-heavy P also has labels of weight 0
+    if context == "zero-heavy":
+        pair, gens = _zero_heavy_pair(4)
+    else:
+        p, gens = _table(4)
+        pair = random_pair(np.random.default_rng(4), p)
+    build, value, weights = _FAMILIES[kind]
+    ctx = pair.p if kind == "tsallis" else pair
+    tables = []
+    evaluate = shannon._evaluate
+
+    def recording(formula, pm, qm, param):
+        if pm.ndim == 2:
+            tables.append(pm)
+        return evaluate(formula, pm, qm, param)
+
+    monkeypatch.setattr(shannon, "_evaluate", recording)
+    inst = build(ctx, gens, alpha)
+    got = {(y, z): _outcome(inst.k1, y, z) for z in range(16) for y in range(16)}
+    whole = list(tables)
+    want = {(y, z): _outcome(_row_route, inst, ctx, gens, value, weights, y, z) for y, z in got}
+    assert got == want
+    # tables of three or more rows with zero cells were evaluated whole
+    assert any(len(t) >= 3 and np.any(t == 0.0) for t in whole)
+    refused = sum(not bits.startswith(("0x", "-0x")) for bits in got.values())
+    if alpha is not None and alpha < 0:
+        assert 0 < refused < len(got)
+    else:
+        assert refused == 0
+
+
+def _planted_blocks(p_rows, q_rows=None, weights=None):
+    """``_condition_blocks``' value and a variable ``y`` whose grouped tables
+    are ``p_rows`` (and ``q_rows`` for a pair): row r is the r-th kept label,
+    point ``r * ny + c`` carries cell c of it, and y labels that point c."""
+    tables = [np.array(p_rows, dtype=float)] + ([] if q_rows is None else [np.array(q_rows, dtype=float)])
+    rows, ny = tables[0].shape
+    points = np.arange(rows * ny)
+    weights = np.full(rows, 1.0 / rows) if weights is None else np.array(weights, dtype=float)
+    blocks = (points, points // ny, tuple(t.ravel() for t in tables), weights, np.arange(rows + 1) * ny)
+    return blocks, RandomVariable(labels=tuple(range(ny)) * rows), tables
+
+
+def _planted_row_route(tables, weights, formula, param, tol):
+    """The rows of ``tables`` checked and evaluated one at a time, left to right."""
+    total = 0.0
+    for i, w in enumerate(weights.tolist()):
+        rows = [t[i] for t in tables]
+        for row in rows:
+            shannon._check_masses(row, tol)
+        total += w * shannon._evaluate(formula, rows[0], rows[1] if len(rows) == 2 else None, param)
+    return total
+
+
+@pytest.mark.parametrize("formula, param, p_rows, q_rows, message", [
+    # Q's label of mass 0.001 to the power 1 - alpha = -399 overflows in the third row
+    (divergences._alpha_kl_value, 400.0, [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]],
+     [[0.5, 0.5], [0.5, 0.5], [0.001, 0.999]], "alpha kl value out of floating-point range at parameter 400.0"),
+    # the second row overflows, and the table's positivity check sees the
+    # third row's zero first: the second row's message is the one raised
+    (divergences._tsallis_value, -2.0, [[0.5, 0.5], [1e-200, 1.0 - 1e-200], [0.0, 1.0]], None,
+     "tsallis value out of floating-point range at parameter -2.0"),
+    (divergences._alpha_kl_value, -2.0, [[0.5, 0.5], [1e-200, 1.0 - 1e-200], [0.0, 1.0]],
+     [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], "alpha kl value out of floating-point range at parameter -2.0"),
+    # P / Q is past the largest float, and its log is not finite
+    (divergences._kl_value, 1.0, [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5], [1e-310, 1.0]],
+     "kl value out of floating-point range at parameter 1.0"),
+    # a row that fails marginal's check is refused before the formula sees the table
+    (divergences._tsallis_value, 0.7, [[0.5, 0.5], [0.5, 0.4], [0.0, 1.0]], None, "masses sum to 0.9, not 1 within"),
+    (divergences._alpha_kl_value, 0.5, [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5], [0.25, 0.75], [0.5, 0.25]],
+     "masses sum to 0.75, not 1 within"),
+], ids=["alpha-kl-overflow", "tsallis-overflow-before-zero", "alpha-kl-overflow-before-zero", "kl-not-finite",
+        "tsallis-mass-check", "alpha-kl-mass-check"])
+def test_a_failing_row_behind_good_rows_raises_the_row_routes_message(formula, param, p_rows, q_rows, message):
+    blocks, y, tables = _planted_blocks(p_rows, q_rows, weights=[0.5, 0.25, 0.25])
+    tol = shannon.MASS_TOL + len(y) * 2.0 ** -53
+    with pytest.raises(DomainError) as rows:
+        _planted_row_route(tables, blocks[3], formula, param, tol)
+    assert str(rows.value).startswith(message)
+    with pytest.raises(DomainError) as grouped:
+        shannon._grouped_average(blocks, y, formula, param)
+    assert str(grouped.value) == str(rows.value)
+
+
+@pytest.mark.parametrize("kind", ["tsallis", "alpha-kl"])
+def test_k1_refuses_a_zero_cell_behind_good_rows_with_the_row_routes_message(kind):
+    # points (z, y): z's labels 0 and 1 meet both labels of y, label 2 meets
+    # only y = 0, so conditioned on it the pushforward along y has a zero
+    # cell, which alpha = -0.5 refuses, behind the two good rows of z = 0, 1
+    points = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+    p = Dist(masses=np.full(5, 0.2), points=points)
+    gens = [RandomVariable(labels=tuple(pt[i] for pt in points)) for i in range(2)]
+    build, value, weights = _FAMILIES[kind]
+    ctx = p if kind == "tsallis" else DistPair(p=p, q=Dist(masses=np.array([4, 1, 2, 1, 2]) / 10, points=points))
+    inst = build(ctx, gens, -0.5)
+    want = _outcome(_row_route, inst, ctx, gens, value, weights, 0b10, 0b01)
+    assert "strictly positive" in want
+    assert _outcome(inst.k1, 0b10, 0b01) == want
+    assert _outcome(inst.k1, 0b01, 0b10) == _outcome(_row_route, inst, ctx, gens, value, weights, 0b01, 0b10)
 
 
 def test_grouped_k1_gives_the_serial_bits_when_threads_share_the_instance(monkeypatch):
