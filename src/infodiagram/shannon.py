@@ -22,6 +22,7 @@ zero too; natural log by default, ``base="bits"`` for binary.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -521,44 +522,39 @@ def _evaluate(formula, pm, qm, param):
 _CHUNK = 1 << 12  # a grouped pushforward table holds at most max(points, _CHUNK) entries at once
 
 
-def _condition_blocks(ctx, condition_fn, x: RandomVariable, weights):
+def _condition_blocks(ctx, x: RandomVariable, weights):
     """``ctx`` conditioned on each label of ``x`` with nonzero weight, as one read-only value.
 
-    ``condition_fn`` (:func:`condition` or :func:`condition_pair`, with
-    their checks) conditions on each such label in label order, and only
-    the label's block is kept: its points in ascending order, the
-    conditioned masses there (P's, and Q's for a pair) and the label's
-    rank among the kept labels.  Returns fresh read-only arrays ``(points,
+    Each such label, in label order, conditions each distribution of
+    ``ctx`` (P, then Q for a pair) by :func:`condition`, with its checks,
+    and only the label's block is kept: its points in ascending order, the
+    conditioned masses there and the label's rank among the kept labels.
+    A pair is conditioned as its two distributions, with no
+    :class:`DistPair` built, since its check cannot fail here: every
+    family's weight of a label is 0 where P gives it mass 0, so Q gives a
+    kept label mass ``Q_z > 0`` (P is absolutely continuous w.r.t. Q), and
+    a conditioned Q mass ``q / Q_z``, with ``Q_z <= 1 + MASS_TOL``, is
+    positive wherever ``q`` is.  Returns fresh read-only arrays ``(points,
     rank, masses, weights, starts)``: one entry per kept point in
     ``points``, ``rank`` and each array of the tuple ``masses`` (one per
     distribution), one per kept label in ``weights``, and block ``i`` at
     ``starts[i]:starts[i + 1]``.
     """
-    pair = not isinstance(ctx, Dist)
-    size = len(ctx)
-    points, rank = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-    masses = [np.empty(size) for _ in range(2 if pair else 1)]
+    dists = (ctx,) if isinstance(ctx, Dist) else (ctx.p, ctx.q)
     count, codes = x._blocks
+    weights = np.asarray(weights, dtype=float)
+    keep = weights != 0.0
     order = np.argsort(codes, kind="stable")
-    bounds = np.cumsum(np.bincount(codes, minlength=count)).tolist()
-    kept, starts, lo = [], [0], 0
-    for label, weight, hi in zip(x.values(), weights, bounds):
-        w = float(weight)
-        if w != 0.0:
-            c = condition_fn(ctx, x, label)
-            start = starts[-1]
-            stop = start + hi - lo
-            block = points[start:stop]
-            block[:] = order[lo:hi]
-            rank[start:stop] = len(kept)
-            for out, dist in zip(masses, (c.p, c.q) if pair else (c,)):
-                np.take(dist.masses, block, out=out[start:stop])
-            kept.append(w)
-            starts.append(stop)
-        lo = hi
-    end = starts[-1]
-    points, rank, masses = points[:end], rank[:end], tuple(m[:end] for m in masses)
-    weights, starts = np.array(kept, dtype=float), np.array(starts)
+    points = order[keep[codes[order]]]
+    sizes = np.bincount(codes, minlength=count)[keep]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    rank = np.repeat(np.arange(sizes.size), sizes)
+    masses = tuple(np.empty(points.size) for _ in dists)
+    bounds = starts.tolist()
+    for label, lo, hi in zip(itertools.compress(x.values(), keep.tolist()), bounds, bounds[1:]):
+        for out, dist in zip(masses, dists):
+            np.take(condition(dist, x, label).masses, points[lo:hi], out=out[lo:hi])
+    weights = weights[keep]
     for arr in (points, rank, *masses, weights, starts):
         arr.setflags(write=False)
     return points, rank, masses, weights, starts
@@ -613,9 +609,8 @@ def _grouped_average(blocks, y: RandomVariable, formula, param) -> float:
 def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstance:
     """A chain-rule instance whose ``k1`` is an averaged-conditioning action.
 
-    ``ctx`` is a :class:`Dist` or a :class:`DistPair`, conditioned with
-    :func:`condition` or :func:`condition_pair`; ``value``, ``weights`` and
-    ``param`` are a family's two formulas and its parameter (see
+    ``ctx`` is a :class:`Dist` or a :class:`DistPair`; ``value``,
+    ``weights`` and ``param`` are a family's two formulas and its parameter (see
     :func:`_apply`), and ``value`` also takes a table of pushforwards, one
     per row (Shannon's need not: its instance drops this ``k1``).  The totals are ``value(X_K) - value(X_0)`` for every
     mask ``K``, each joint built once by :func:`joint_of` and dropped as
@@ -632,9 +627,10 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     conditioning mask asked, as the joints are built once per mask, so a
     run of calls with one ``z``, as the chain check makes, conditions once
     and reads each ``y``'s pushforwards from one grouped ``bincount``,
-    whose table the family's value takes whole (:func:`_grouped_average`).  Threads sharing the instance share only
-    those immutable arrays.  Every ``k1`` value is the bits of the label
-    route's :func:`_average`.
+    whose table the family's value takes whole (:func:`_grouped_average`).
+    Threads sharing the instance share only those immutable arrays.  Every
+    ``k1`` value is the bits of the label route's :func:`_average`, which
+    ``action`` takes with :func:`condition` or :func:`condition_pair`.
     """
     gens = tuple(gens)
     _check_n(len(gens))
@@ -648,7 +644,7 @@ def _action_instance(ctx, gens, value, weights, param, meta) -> ChainRuleInstanc
     @functools.lru_cache(maxsize=1)
     def blocks(z_mask: int):
         z = var(z_mask)
-        return _condition_blocks(ctx, condition_fn, z, _apply(weights, ctx, z, param))
+        return _condition_blocks(ctx, z, _apply(weights, ctx, z, param))
 
     def average(x: RandomVariable, f, c) -> float:
         return _average(x, f, c, _apply(weights, c, x, param), condition_fn)

@@ -11,8 +11,10 @@ import math
 import os
 import random
 import struct
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from infodiagram.cli import main
 from infodiagram.core import indices_of
 from infodiagram.setfun import SetFunction, r1_instance
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 XOR_CSV = "X,Y,Z\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
 
 
@@ -774,6 +777,39 @@ def test_verify_document_matches_json_dump_of_the_rows(tmp_path, capsys, monkeyp
     code, out = _verify_both_ways(tmp_path, capsys, argv, "csv")
     assert code == 0
     assert out == _old_csv(docs[-1])
+
+
+def test_documents_are_the_same_bytes_under_every_hash_seed(tmp_path):
+    # str hashes change with PYTHONHASHSEED, and so would any set or dict
+    # order a document followed; three runs in one process per seed: a
+    # sampled Tsallis diagram on string labels, an exhaustive alpha-KL verify
+    # and a set-function diagram in CSV
+    rng = random.Random(33)
+    rows = "".join(",".join(rng.choice(("lo", "mid", "hi")) for _ in range(6)) + "\n" for _ in range(20))
+    table = write(tmp_path, "strings.csv", ",".join(f"x{j}" for j in range(1, 7)) + "\n" + rows)
+    runs = [
+        ["diagram", table, "--instance", "tsallis", "--alpha", "0.7"],
+        ["verify", *_verify_inputs(tmp_path, "alpha-kl", 3)],
+        ["diagram", *_verify_inputs(tmp_path, "setfun", 4), "--format", "csv"],
+    ]
+    script = "import json, sys\nfrom infodiagram.cli import main\nsys.exit(max(map(main, json.loads(sys.argv[1]))))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    procs = []
+    for seed in ("0", "1"):  # the two processes run side by side
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        argv = [[*run, "--out", str(out / f"{i}.doc")] for i, run in enumerate(runs)]
+        procs.append((out, subprocess.Popen([sys.executable, "-c", script, json.dumps(argv)],
+                                            env={**env, "PYTHONHASHSEED": seed}, stderr=subprocess.PIPE, text=True)))
+    documents = []
+    for out, proc in procs:
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (0, "")
+        documents.append([(out / f"{i}.doc").read_bytes() for i in range(len(runs))])
+    assert json.loads(documents[0][0])["verification"]["mode"] == "sampled"
+    assert json.loads(documents[0][1])["summary"]["mode"] == "exhaustive"
+    assert documents[0] == documents[1]
 
 
 @pytest.mark.parametrize("n", [1, 5, 12])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import infodiagram.divergences
 import infodiagram.shannon
@@ -113,6 +115,42 @@ def test_condition_pair_on_a_p_null_event_returns_the_pair_unchanged():
     given_a = condition_pair(pair, x, "a")
     assert given_a.p.masses.tolist() == [0.5, 0.5, 0.0]
     assert given_a.q.masses.tolist() == [0.5, 0.5, 0.0]
+
+
+@st.composite
+def _pairs_and_labels(draw):
+    """Masses of a pair on 1-8 points and labels of them: P is zero at some
+    points, Q is positive wherever P is (some of its masses there 5e-324 or
+    1e-300) and at some points where P is not."""
+    size = draw(st.integers(1, 8))
+    p = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=size, max_size=size).filter(any))
+    q = [draw(st.sampled_from([1.0, 4.0, 5e-324, 1e-300] if pv else [0.0, 2.0])) for pv in p]
+    if max(q) < 1.0:
+        q[0] = 1.0
+    labels = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    return p, q, labels
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_pairs_and_labels())
+@example(case=([1.0, 1.0], [5e-324, 1.0], [0, 0]))
+@example(case=([1.0, 1.0, 0.0], [1e-300, 5e-324, 1.0], [0, 0, 1]))
+def test_condition_pair_conditions_each_distribution_alone_on_every_event_p_sees(case):
+    # conditioning a pair never refuses an event of positive P-mass, even
+    # where Q's mass is a subnormal, and gives the masses of conditioning P
+    # and Q apart; an event P does not see gives the pair itself
+    p_raw, q_raw, labels = (np.array(v, dtype=float) for v in case)
+    normal = q_raw >= 1.0
+    q_raw[normal] /= q_raw[normal].sum()
+    pair = DistPair(p=Dist(masses=p_raw / p_raw.sum()), q=Dist(masses=q_raw))
+    x = RandomVariable(labels=tuple(labels.tolist()))
+    for value in x.values():
+        got = condition_pair(pair, x, value)
+        if pair.p.masses[labels == value].sum() == 0.0:
+            assert got is pair
+            continue
+        assert got.p.masses.tobytes() == condition(pair.p, x, value).masses.tobytes()
+        assert got.q.masses.tobytes() == condition(pair.q, x, value).masses.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ computed here on the label route.  That ``k1`` conditions on a mask's
 labels once, into one read-only value cached for the last mask asked, and
 reads every y from one grouped table, which the family's value takes
 whole, so the guards also run it in the chain check's order and shuffled,
-count its conditioning calls, bound its memory, hold each table's values
-and refusals to the per-row route's, plant a failing row behind good ones
+count its conditioning calls (and the pairs it builds: none), bound its
+memory, hold each table's values and refusals to the per-row route's,
+plant a failing row behind good ones, give it a mask with no label kept
 and share it between threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -244,17 +246,39 @@ def test_k1_conditions_once_per_run_of_one_conditioning_mask(case, monkeypatch):
     monkeypatch.setattr(shannon, "condition", counting)
     inst, ctx, _, _, weights = case(pair.p, pair, gens)
     calls = []
+    built, post_init = [], DistPair.__post_init__
+    monkeypatch.setattr(DistPair, "__post_init__", lambda self: built.append(self) or post_init(self))
 
     def recorded(y, z):
         calls.append(z)
         return inst.k1(y, z)
 
     check_chain_rule(replace(inst, k1=recorded))
+    assert built == []  # a pair is conditioned as its two distributions
     runs = [z for i, z in enumerate(calls) if i == 0 or calls[i - 1] != z]
     assert len(runs) < len(calls)
     per_label = 2 if ctx is pair else 1
     kept = [sum(float(w) != 0.0 for w in weights(ctx, joint_of(gens, z, len(pair.p)))) for z in runs]
     assert len(conditioned) == per_label * sum(kept)
+
+
+def test_a_mask_whose_every_weight_underflows_gives_empty_blocks_and_k1_zero():
+    # uniform on {0, 1}^3 at alpha = 400: each label of z = 0b111 weighs
+    # 0.125 ** 400 = 2 ** -1200, which is 0.0, so no label is kept
+    p, gens = empirical_from_rows(list(itertools.product("01", repeat=3)))
+    inst = tsallis_instance(p, gens, 400.0)
+    x_z = joint_of(gens, 0b111, 8)
+    weights = divergences._tsallis_weights(marginal(p, x_z).masses, None, 400.0)
+    assert weights.size == 8 and not weights.any()
+    points, rank, masses, kept, starts = shannon._condition_blocks(p, x_z, weights)
+    assert [a.size for a in (points, rank, *masses, kept)] == [0, 0, 0, 0]
+    assert starts.tolist() == [0]
+    assert not any(a.flags.writeable for a in (points, rank, *masses, kept, starts))
+    for y in range(8):
+        x_y = joint_of(gens, y, 8)
+        want = _average(x_z, lambda c: tsallis_entropy(c, x_y, 400.0), p, weights, condition)
+        assert inst.k1(y, 0b111).hex() == want.hex() == (0.0).hex()
+    assert check_chain_rule(inst)[1] == []
 
 
 def test_grouped_k1_holds_a_bounded_table_however_many_labels_meet():
