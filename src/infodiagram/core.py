@@ -418,38 +418,36 @@ def region_measure(inst: ChainRuleInstance, region: int) -> float:
     return total
 
 
+class _Term(tuple):
+    """Interaction arguments sorted by construction, as :func:`verify_hu` makes
+    them: a non-empty tuple of plain int masks >= 0 in ascending order."""
+
+    __slots__ = ()
+
+
 def interaction(inst: ChainRuleInstance, l_masks, j_mask: int = 0) -> float:
     """Conditional interaction term of degree ``len(l_masks)`` given ``j_mask``.
 
     Defined recursively: degree 1 is ``k1(l | j)``, and each higher degree
     subtracts a copy conditioned additionally on its last argument, so a
     degree-q term is a signed sum of 2**(q - 1) conditional terms
-    ``k1(a | w)``.  The terms are read from the memo that
-    :meth:`ChainRuleInstance.k1c` fills, and a term missing from it is
-    evaluated through ``k1c``, so ``k1`` is reached only through ``k1c``.
-    A node of degree 3 or less is one expression over the memo, e.g.
-    ``(k1(a | j) - k1(a | b OR j)) - (k1(a | c OR j) - k1(a | b OR c OR j))``:
-    the same terms, subtracted in the same order, as the recursion down to
-    degree 1 gives, so every value is that recursion's to the bit.  A
-    higher degree splits on its last argument down to such nodes.  The
-    arguments are sorted first, which canonicalizes their order; a tuple of
-    plain ints already sorted and in range, with a plain-int ``j_mask`` in
-    range, as every check of :func:`verify_hu` is, is taken as it is, and
-    any other arguments are checked by :func:`_check_term` and sorted.
+    ``k1(a | w)`` (:func:`_interaction_node`).  The arguments are sorted
+    first, which canonicalizes their order: a :class:`_Term` is taken as it
+    is once its last mask and a plain-int ``j_mask`` are below 2**n, and any
+    other arguments are checked by :func:`_check_term` and sorted.
     """
     size = 1 << inst.n
-    if type(l_masks) is tuple and l_masks and type(j_mask) is int and 0 <= j_mask < size:
-        low = 0  # not -1: a mask below 0 is refused
-        for m in l_masks:
-            if type(m) is not int or not low <= m < size:
-                break
-            low = m
-        else:
-            return _interaction_node(inst, l_masks, j_mask)
+    if type(l_masks) is _Term and l_masks[-1] < size and type(j_mask) is int and 0 <= j_mask < size:
+        return _interaction_node(inst, l_masks, j_mask)
     return _interaction_node(inst, sorted(_check_term(l_masks, j_mask, inst.n)), j_mask)
 
 
 def _interaction_node(inst: ChainRuleInstance, prefix, z: int) -> float:
+    """The interaction term of the sorted, checked masks ``prefix`` given ``z``,
+    from the memo of :meth:`ChainRuleInstance.k1c`, which evaluates a missing
+    term.  A node of degree 3 or less is one expression, the recursion's terms
+    subtracted in its order, so its value is that recursion's to the bit; a
+    higher degree splits on its last argument down to such nodes."""
     q = len(prefix)
     if q > 3:
         rest = prefix[:-1]
@@ -567,11 +565,12 @@ def check_chain_rule(inst: ChainRuleInstance, tol: float = DEFAULT_TOL,
     violations = []
     seen_neutral = set()
     for y, z in pairs:
-        if z not in seen_neutral:
-            seen_neutral.add(z)
-            gaps.append(abs(inst.k1c(0, z)))
+        mask = y if samples is None else z  # exhaustively row y's, whose terms all condition on y
+        if mask not in seen_neutral:
+            seen_neutral.add(mask)
+            gaps.append(abs(inst.k1c(0, mask)))
             if not _passes(gaps[-1], tol, scale):
-                violations.append((0, z, gaps[-1]))
+                violations.append((0, mask, gaps[-1]))
         gaps.append(abs(inst.total(y | z) - inst.total(y) - inst.k1c(z, y)))
         if not _passes(gaps[-1], tol, scale):
             violations.append((y, z, gaps[-1]))
@@ -757,9 +756,9 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
     inclusion-exclusion of 2**q lookups in the subset zeta transform of the
     atoms (kept as ``DiagramReport.zeta``), gathered in numpy.
     :func:`_sweep_plan` gives the mode and check count, and refuses a sweep
-    past its caps before any work.  An exhaustive sweep takes argument tuples
-    as sorted multisets (the interaction canonicalizes order, so permutations
-    are float-identical); a sampled one draws its checks with a fixed seed.
+    past its caps before any work.  Each check's arguments are a sorted
+    multiset, a :class:`_Term` (permutations are float-identical): every one
+    in an exhaustive sweep, and one drawn with a fixed seed in a sampled one.
 
     The residuals are six preallocated columns (q, the L masks padded to
     ``q_max``, J, lhs, rhs and gap), read as :class:`Residual` rows.  Each
@@ -805,17 +804,17 @@ def verify_hu(inst: ChainRuleInstance, q_max: int = 3, tol: float = DEFAULT_TOL,
             res.l[rows].reshape(len(tuples), size, q_max)[:, :, :q] = np.array(tuples)[:, None, :]
             res.j[rows].reshape(len(tuples), size)[:] = np.arange(size)
             start = rows.stop
-        lhs = (interaction(inst, l_tuple, j) for q in range(1, q_max + 1)
-               for l_tuple in combinations_with_replacement(range(size), q) for j in range(size))
+        lhs = (interaction(inst, l_term, j) for q in range(1, q_max + 1)
+               for l_term in map(_Term, combinations_with_replacement(range(size), q)) for j in range(size))
     else:
         def draws():  # writes each row's q, L and J as the block loop reads its lhs
             rng = random.Random(seed)
             for i in range(samples):
                 q = rng.randint(1, q_max)
-                l_tuple = tuple(sorted(rng.randrange(size) for _ in range(q)))
+                l_term = _Term(sorted(rng.randrange(size) for _ in range(q)))
                 j = rng.randrange(size)
-                res.q[i], res.l[i, :q], res.j[i] = q, l_tuple, j
-                yield interaction(inst, l_tuple, j)
+                res.q[i], res.l[i, :q], res.j[i] = q, l_term, j
+                yield interaction(inst, l_term, j)
 
         lhs = draws()
     step = max(1, _REGION_BLOCK_TERMS >> q_max)

@@ -41,7 +41,7 @@ from infodiagram import (
     validate_action_form,
     verify_hu,
 )
-from infodiagram.core import _check_term, _interaction_node, _sweep_plan
+from infodiagram.core import _check_term, _interaction_node, _sweep_plan, _Term
 
 
 def random_r1(rng, n, dyadic=False):
@@ -155,25 +155,34 @@ _ANY_MASK = st.one_of(st.integers(-1, 8), st.booleans(), st.integers(-1, 8).map(
         st.lists(_ANY_MASK, max_size=4).map(tuple),
         st.lists(_ANY_MASK, max_size=4),
         st.lists(st.integers(-1, 8), max_size=4).map(sorted).map(tuple),
+        st.lists(st.integers(0, 9), min_size=1, max_size=4).map(sorted).map(_Term),
     ),
     j_mask=_ANY_MASK,
 )
-@example(l_masks=(-1,), j_mask=0)  # in order from -1, so only the range check refuses it
+@example(l_masks=(-1,), j_mask=0)
 @example(l_masks=(-1, 2), j_mask=0)
 @example(l_masks=(1, 8), j_mask=0)
 @example(l_masks=(2,), j_mask=8)
-@example(l_masks=(2, 1), j_mask=0)  # out of order: taken as it is, its bits differ from the sorted term's
+@example(l_masks=(2, 1), j_mask=0)  # out of order: its bits differ from the sorted term's
 @example(l_masks=(4, 3, 1), j_mask=2)
 @example(l_masks=(), j_mask=0)
 @example(l_masks=(True, 2), j_mask=0)
 @example(l_masks=(np.int64(1), 2), j_mask=0)
 @example(l_masks=(1, 2), j_mask=np.int64(0))
 @example(l_masks=[1, 2, 4], j_mask=0)
-def test_canonical_arguments_skip_the_checks_and_give_the_checked_routes_bits(l_masks, j_mask):
-    # interaction takes a sorted tuple of plain ints in range, with a plain-int
-    # J in range, as it is; any other arguments go through _check_term and the
-    # sort.  Both give the checked route's bits or its refusal: an action-form
-    # instance's terms differ in the last bits when their order changes
+@example(l_masks=_Term((1, 2, 4, 7)), j_mask=0)  # degree 4: the node splits on its last mask
+@example(l_masks=_Term((1, 8)), j_mask=0)  # the last mask past 2**n
+@example(l_masks=_Term((8,)), j_mask=3)
+@example(l_masks=_Term((2, 3)), j_mask=8)  # J past 2**n
+@example(l_masks=_Term((2, 3)), j_mask=-1)
+@example(l_masks=_Term((2, 3)), j_mask=True)
+@example(l_masks=_Term((2, 3)), j_mask=np.int64(1))
+def test_only_a_term_skips_the_checks_and_every_route_gives_the_checked_bits(l_masks, j_mask):
+    # interaction takes a _Term, sorted by construction, as it is once its last
+    # mask and a plain-int J are in range; any other arguments, a sorted tuple
+    # of plain ints too, go through _check_term and the sort.  Both give the
+    # checked route's bits or its refusal: an action-form instance's terms
+    # differ in the last bits when their order changes
     dist, gens = random_joint(np.random.default_rng(32), 3)
     inst = alpha_kl_instance(random_pair(np.random.default_rng(33), dist), gens, 0.5)
 

@@ -235,7 +235,8 @@ def test_grouped_k1_is_the_label_route_bit_for_bit_in_the_chain_checks_order_and
 def test_k1_conditions_once_per_run_of_one_conditioning_mask(case, monkeypatch):
     # the conditioned blocks are cached for the last mask asked, so the chain
     # check conditions on z's labels of nonzero weight once per run of calls
-    # with one z (a pair conditions its P and its Q), not once per call
+    # with one z (a pair conditions its P and its Q), not once per call; the
+    # exhaustive check asks each z in one run, its neutral term k1(0 | z) first
     pair, gens = _zero_heavy_pair(4)
     conditioned = []
 
@@ -257,6 +258,7 @@ def test_k1_conditions_once_per_run_of_one_conditioning_mask(case, monkeypatch):
     assert built == []  # a pair is conditioned as its two distributions
     runs = [z for i, z in enumerate(calls) if i == 0 or calls[i - 1] != z]
     assert len(runs) < len(calls)
+    assert runs == list(range(1 << inst.n))
     per_label = 2 if ctx is pair else 1
     kept = [sum(float(w) != 0.0 for w in weights(ctx, joint_of(gens, z, len(pair.p)))) for z in runs]
     assert len(conditioned) == per_label * sum(kept)

@@ -11,7 +11,11 @@ must give the same bytes as its canonical respelling.  A CSV sample table
 is mutated the ways a sample table goes wrong (a ragged row, a second
 ``__weight`` column, a bad weight, NUL and non-UTF-8 bytes, a quoted field
 holding the delimiter); an accepted one must give the same bytes as each
-of its respellings.
+of its respellings.  A CSV or TSV sample table, mutated also the ways the
+README's reading rules turn on (zero weights, no variable column, no
+sample row, blank lines, Latin-1 text, a byte-order mark), is read by a
+reference reader written here from those rules, which must accept exactly
+what the CLI accepts and read the same names, rows and weights.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodiagram.cli import main
+from infodiagram.cli import main, read_table
 from infodiagram.core import indices_of
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -285,9 +290,13 @@ def _delimited(table, delimiter=",", quoting=csv.QUOTE_MINIMAL) -> str:
     return text.getvalue()
 
 
-# in the order they apply, so each finds the fields it changes; bytes go in last
 _TABLE_MUTATIONS = ("weight-column", "bad-weight", "nul", "quoted", "ragged", "bytes")
 _REFUSED = ("weight-column", "bad-weight", "ragged", "bytes")  # each alone makes the table exit 2
+# every mutation in the order it applies, so each finds the fields it changes; bytes go in last.
+# The spelling test draws only _TABLE_MUTATIONS: the others, which the reading rules turn on,
+# include a byte-order mark and a table with no row left, which its respellings do not fit
+_ORDER = ("weight-column", "bad-weight", "zero-weights", "nul", "quoted", "no-variables", "ragged",
+          "no-samples", "blank", "latin-1", "bom", "bytes")
 
 
 def _add_weight_column(table) -> None:
@@ -295,10 +304,10 @@ def _add_weight_column(table) -> None:
         row.append("__weight" if row is table[0] else "1")
 
 
-def _mutate_table(data, table, mutations) -> bytes:
-    """``table`` as CSV bytes after the drawn ``mutations``."""
+def _mutate_table(data, table, mutations, delimiter=",") -> bytes:
+    """``table`` as delimited bytes after the drawn ``mutations``."""
     header, rows = table[0], table[1:]
-    for mutation in sorted(mutations, key=_TABLE_MUTATIONS.index):
+    for mutation in sorted(mutations, key=_ORDER.index):
         if mutation == "ragged":  # a row loses its last field, or a row of one field gains one
             row = data.draw(st.sampled_from(rows))
             if len(row) > 1:
@@ -313,15 +322,70 @@ def _mutate_table(data, table, mutations) -> bytes:
                 _add_weight_column(table)
             data.draw(st.sampled_from(rows))[header.index("__weight")] = data.draw(
                 st.sampled_from(["nan", "-1", "inf", "x"]))
+        elif mutation == "zero-weights":  # some rows, or all, weigh 0
+            if "__weight" not in header:
+                _add_weight_column(table)
+            for row in rows:
+                if data.draw(st.booleans()):
+                    row[header.index("__weight")] = "0"
         elif mutation in ("nul", "quoted"):
             row = data.draw(st.sampled_from(table if mutation == "nul" else rows))
             at = data.draw(st.sampled_from([i for i, name in enumerate(header) if name != "__weight"]))
             row[at] = row[at] + "\x00" if mutation == "nul" else "a,b"
-    raw = _delimited(table).encode("utf-8")
+        elif mutation == "no-variables":  # only the weight columns are left
+            if "__weight" not in header:
+                _add_weight_column(table)
+            keep = [i for i, name in enumerate(header) if name == "__weight"]
+            for row in table:
+                row[:] = [row[i] for i in keep]
+        elif mutation == "no-samples":
+            del table[data.draw(st.integers(0, 1)):]
+    text = _delimited(table, delimiter)
+    if "blank" in mutations:  # blank lines before some line, or at the end
+        lines = text.split("\n")
+        at = data.draw(st.integers(0, len(lines) - 1))
+        text = "\n".join(lines[:at] + [data.draw(st.sampled_from(["", "\r", "\n"]))] + lines[at:])
+    raw = text.encode("latin-1" if "latin-1" in mutations else "utf-8")
+    if "bom" in mutations:
+        raw = b"\xef\xbb\xbf" + raw
     if "bytes" in mutations:
         at = data.draw(st.integers(0, len(raw)))
         raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3"])) + raw[at:]
     return raw
+
+
+def _reference_samples(data: bytes, delimiter: str):
+    """``(names, rows, weights)`` of the sample table ``data``, or None where
+    the README's rules refuse it: UTF-8 text after an optional byte-order
+    mark, blank lines skipped; a header row of names, read stripped, and at
+    least one sample row; at most one ``__weight`` column and at least one
+    other column; every row as long as the header; each weight a finite
+    number >= 0 (1 without the column), and some weight positive."""
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+        table = [row for row in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter) if row]
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if len(table) < 2:
+        return None
+    header = [name.strip() for name in table[0]]
+    at = [i for i, name in enumerate(header) if name == "__weight"]
+    if len(at) > 1 or len(at) == len(header):
+        return None
+    names = [name for i, name in enumerate(header) if i not in at]
+    rows, weights = [], []
+    for row in table[1:]:
+        if len(row) != len(header):
+            return None
+        try:
+            weight = float(row[at[0]]) if at else 1.0
+        except ValueError:
+            return None
+        if not math.isfinite(weight) or weight < 0:
+            return None
+        rows.append(tuple(field for i, field in enumerate(row) if i not in at))
+        weights.append(weight)
+    return (names, rows, weights) if any(weights) else None
 
 
 @settings(FUZZ, max_examples=100)
@@ -353,3 +417,20 @@ def test_sample_tables_refuse_cleanly_and_ignore_spelling(table, data):
                 ("table.tsv", _delimited(table, delimiter="\t").encode("utf-8")),
             ]:
                 assert diagram(name, respelled) == (0, doc), name
+
+
+@pytest.mark.parametrize("mutation", _ORDER)  # each mutation leads a dozen examples
+@settings(FUZZ, max_examples=12)
+@given(table=_sample_tables(), delimiter=st.sampled_from([",", "\t"]), data=st.data())
+def test_sample_tables_are_read_as_the_reference_reader_reads_them(mutation, table, delimiter, data):
+    mutations = [mutation] + data.draw(st.lists(st.sampled_from(_ORDER), max_size=1))
+    raw = _mutate_table(data, table, mutations, delimiter)
+    want = _reference_samples(raw, delimiter)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / ("in.csv" if delimiter == "," else "in.tsv")
+        path.write_bytes(raw)
+        code, err = _run("diagram", str(path), "--instance", "shannon", "--qmax", "1",
+                         "--out", str(Path(folder) / "doc.json"))
+        assert (code == 0) == (want is not None), (raw, err)
+        if want is not None:
+            assert read_table(str(path)) == want
